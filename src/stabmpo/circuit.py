@@ -16,7 +16,7 @@ two-branch linear combination followed by compression.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, pi, sin
+from math import cos, isfinite, pi, sin
 
 import numpy as np
 
@@ -36,6 +36,8 @@ class RotationGate:
     def __post_init__(self) -> None:
         if self.axis not in (1, 2, 3):
             raise ValueError("rotation axis must be 1, 2 or 3")
+        if not isfinite(self.theta):
+            raise ValueError(f"rotation angle must be finite, got {self.theta!r}")
 
 
 def t_gate(site: int) -> RotationGate:
@@ -53,6 +55,8 @@ class StabMpoLayer:
     def __post_init__(self) -> None:
         if not self.gamma.is_hermitian:
             raise ValueError("layer string must be Hermitian")
+        if not isfinite(self.theta_eff):
+            raise ValueError(f"layer angle must be finite, got {self.theta_eff!r}")
 
     @property
     def phi0(self) -> complex:
@@ -90,10 +94,6 @@ class StabMpoCircuit:
     def m(self) -> int:
         return len(self.layers)
 
-    def prefix(self, m: int, residual: CliffordTableau) -> "StabMpoCircuit":
-        """The first ``m`` layers together with their own residual tableau."""
-        return StabMpoCircuit(self.n, self.layers[:m], residual)
-
     # one line per layer: "LAYER m sign theta gamma_letters"
     def to_text(self) -> str:
         lines = [f"stabmpo-circuit qubits {self.n} layers {self.m}"]
@@ -109,8 +109,8 @@ class StabMpoCircuit:
     @classmethod
     def from_text(cls, text: str) -> "StabMpoCircuit":
         lines = text.splitlines()
-        head = lines[0].split()
-        if head[0] != "stabmpo-circuit":
+        head = lines[0].split() if lines else []
+        if len(head) != 5 or head[0] != "stabmpo-circuit":
             raise ValueError("not a stabmpo circuit file")
         n, m = int(head[2]), int(head[4])
         layers = []
@@ -126,6 +126,8 @@ class StabMpoCircuit:
         if i >= len(lines) or lines[i] != "residual-tableau":
             raise ValueError("missing residual tableau")
         residual = CliffordTableau.from_text("\n".join(lines[i + 1 :]))
+        if residual.n != n or any(layer.gamma.n != n for layer in layers):
+            raise ValueError("layer or tableau size does not match the header")
         return cls(n, layers, residual)
 
 

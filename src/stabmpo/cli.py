@@ -103,9 +103,8 @@ def main(argv=None) -> int:
 
         return run_selftest()
 
-    file_values = parse_config_file(args.config) if args.config else {}
-
     try:
+        file_values = parse_config_file(args.config) if args.config else {}
         if args.command in ("tdoped", "temporal"):
             cfg = config_from_sources(
                 TDopedConfig, file_values, _collect(args, _TDOPED_KEYS)

@@ -93,14 +93,20 @@ class CliffordCircuit:
     @classmethod
     def from_text(cls, text: str) -> "CliffordCircuit":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("qubits"):
-            raise ValueError("circuit text must start with 'qubits N'")
-        n = int(lines[0].split()[1])
+        n = _header_count(lines[0] if lines else "")
         gates = []
         for ln in lines[1:]:
             parts = ln.split()
             gates.append(gate(parts[0], *map(int, parts[1:])))
         return cls(n, tuple(gates))
+
+
+def _header_count(line: str) -> int:
+    """N of the 'qubits N' header that starts circuit and tableau text."""
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "qubits":
+        raise ValueError(f"text must start with 'qubits N', got {line!r}")
+    return int(parts[1])
 
 
 # ----------------------------------------------------------------------
@@ -287,10 +293,10 @@ class CliffordTableau:
         imgs = self.x_images + self.z_images
         for i, a in enumerate(imgs):
             if a.letter_exp not in (0, 2):
-                raise AssertionError(f"image {i} is not a signed Hermitian string")
+                raise ValueError(f"image {i} is not a signed Hermitian string")
             for j, b in enumerate(imgs):
                 if a.commutes(b) != gens[i].commutes(gens[j]):
-                    raise AssertionError(
+                    raise ValueError(
                         f"symplectic pattern broken between images {i} and {j}"
                     )
 
@@ -305,17 +311,19 @@ class CliffordTableau:
     @classmethod
     def from_text(cls, text: str) -> "CliffordTableau":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("qubits"):
-            raise ValueError("tableau text must start with 'qubits N'")
-        n = int(lines[0].split()[1])
-        xs: dict[int, PauliString] = {}
-        zs: dict[int, PauliString] = {}
+        n = _header_count(lines[0] if lines else "")
+        images: dict[str, PauliString] = {}
         for ln in lines[1:]:
             head, _, lit = ln.partition("->")
-            head = head.strip()
-            target = xs if head[0] == "X" else zs
-            target[int(head[1:])] = PauliString.from_literal(lit.strip())
-        return cls(n, [xs[j] for j in range(n)], [zs[j] for j in range(n)])
+            images[head.strip()] = PauliString.from_literal(lit.strip())
+        rows = [f"{k}{j}" for k in "XZ" for j in range(n)]
+        if len(lines) != 2 * n + 1 or set(images) != set(rows):
+            raise ValueError("tableau text needs one row for each of X0.. and Z0..")
+        if any(p.n != n for p in images.values()):
+            raise ValueError("tableau image length does not match 'qubits N'")
+        tab = cls(n, [images[r] for r in rows[:n]], [images[r] for r in rows[n:]])
+        tab.validate()
+        return tab
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,11 @@ Two studies are provided at configurable scale: brick-wall random Clifford
 circuits doped with T gates (entanglement of the layer-evolved state vs a
 gate-by-gate baseline, plus the temporal-entropy sweep) and kicked Floquet
 dynamics with random magnetization-preserving Cliffords (magnetization
-decay against its closed form).  Every realization draws from an RNG
-stream keyed by (seed, realization_id), so subsets are stable and runs
-are reproducible byte for byte.
+decay against its closed form).  Both run through one driver: each
+config names its blocks, truncation policy, measurement and record
+cadence, and ``_realization`` compiles, evolves and records them.  Every
+realization draws from an RNG stream keyed by (seed, realization_id), so
+subsets are stable and runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -16,19 +18,24 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from math import cos, pi, sqrt
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import __version__
 from .circuit import (
     RotationGate,
-    StabMpoCircuit,
     StabMpoCompiler,
     apply_layer,
     t_gate,
     transform_observable,
 )
-from .clifford import CliffordCircuit, sample_brickwall, sample_u1_clifford
+from .clifford import (
+    CliffordCircuit,
+    CliffordTableau,
+    sample_brickwall,
+    sample_u1_clifford,
+)
 from .dense import GATE_1Q, GATE_2Q, rotation_matrix, run_blocks
 from .dense import expectation as dense_expectation
 from .mps import Mps, TruncationPolicy
@@ -39,10 +46,21 @@ WORKERS_ENV = "STABMPO_WORKERS"
 
 
 # ----------------------------------------------------------------------
-# configs
+# configs: each one also defines its study for the shared driver
 # ----------------------------------------------------------------------
+_AGG_HEADER = (
+    "track,m,entropy_mean,entropy_stderr,observable_mean,observable_stderr"
+)
+
+
 @dataclass
 class TDopedConfig:
+    """T-doped circuits: a record per block; optional baseline and temporal tracks."""
+
+    kind: ClassVar[str] = "tdoped"
+    aggregate_header: ClassVar[str] = _AGG_HEADER
+    record_every: ClassVar[int] = 1
+
     n: int = 16
     m_layers: int = 10
     depth_d: int = 1
@@ -73,9 +91,30 @@ class TDopedConfig:
             raise ValueError("observable length does not match n")
         return p
 
+    def sample_blocks(self, rng: np.random.Generator):
+        return sample_tdoped_blocks(self.n, self.m_layers, self.depth_d, rng)
+
+    def policy(self) -> TruncationPolicy:
+        return TruncationPolicy(chi_max=self.chi)
+
+    def measure(self, state: Mps, tableau: CliffordTableau) -> float:
+        """The observable on the evolved state, pulled back through ``tableau``."""
+        nu = transform_observable(tableau, self.observable_pauli())
+        return state.expect_pauli(nu)
+
+    def reference(self, m: int) -> tuple:
+        return ()
+
 
 @dataclass
 class FloquetConfig:
+    """Kicked Floquet dynamics: one record per period of n kicks."""
+
+    kind: ClassVar[str] = "floquet"
+    aggregate_header: ClassVar[str] = _AGG_HEADER + ",analytic"
+    run_baseline: ClassVar[bool] = False
+    run_temporal: ClassVar[bool] = False
+
     n: int = 12
     epsilon: float = 0.1
     periods: int = 15
@@ -88,6 +127,28 @@ class FloquetConfig:
             raise ValueError("all counts must be >= 1")
         if not 0.0 <= self.epsilon <= pi / 2:
             raise ValueError("epsilon must lie in [0, pi/2]")
+
+    @property
+    def record_every(self) -> int:
+        return self.n
+
+    def sample_blocks(self, rng: np.random.Generator):
+        return sample_floquet_blocks(self.n, self.epsilon, self.periods, rng)
+
+    def policy(self) -> TruncationPolicy:
+        return TruncationPolicy(chi_max=self.chi, renormalize=True)
+
+    def measure(self, state: Mps, tableau: CliffordTableau) -> float:
+        """Magnetization: the mean of <Z_j> pulled back through ``tableau``."""
+        mz = 0.0
+        for j in range(self.n):
+            mz += state.expect_pauli(
+                transform_observable(tableau, PauliString.single(self.n, j, 3))
+            )
+        return mz / self.n
+
+    def reference(self, m: int) -> tuple:
+        return (analytic_magnetization(self.epsilon, m),)
 
 
 # ----------------------------------------------------------------------
@@ -202,15 +263,11 @@ def dense_oracle_run(n: int, blocks, bits, observable: PauliString | None = None
 
 
 # ----------------------------------------------------------------------
-# per-realization workers
+# the study driver: one realization loop, one run/aggregate/write path
 # ----------------------------------------------------------------------
-def _gate_matrix_1q(name: str) -> np.ndarray:
-    return GATE_1Q[name]
-
-
 def _evolve_baseline_gate(state: Mps, g, policy: TruncationPolicy) -> tuple[Mps, float]:
     if g.name in GATE_1Q:
-        return state.apply_1q_gate(_gate_matrix_1q(g.name), g.qubits[0]), 0.0
+        return state.apply_1q_gate(GATE_1Q[g.name], g.qubits[0]), 0.0
     u = GATE_2Q[g.name]
     a, b = g.qubits
     if b != a + 1:
@@ -218,105 +275,66 @@ def _evolve_baseline_gate(state: Mps, g, policy: TruncationPolicy) -> tuple[Mps,
     return state.apply_2q_gate(u, a, policy)
 
 
-def _tdoped_realization(cfg: TDopedConfig, realization: int) -> dict:
+def _record(state: Mps, value: float, cum: float) -> tuple:
+    """One per-step record in trajectory.csv column order."""
+    return (
+        state.entanglement_entropy(state.n // 2),
+        value,
+        state.max_bond,
+        cum,
+        int(state.is_zero),
+    )
+
+
+def _realization(cfg: TDopedConfig | FloquetConfig, realization: int) -> dict:
+    """Evolve one realization of a study and record it per track.
+
+    The stabmpo track gets a record after every ``cfg.record_every`` blocks;
+    the gate-by-gate baseline and the temporal sweep, when the study runs
+    them, at the same steps.
+    """
     rng = realization_rng(cfg.seed, realization)
-    blocks = sample_tdoped_blocks(cfg.n, cfg.m_layers, cfg.depth_d, rng)
-    policy = TruncationPolicy(chi_max=cfg.chi)
-    obs = cfg.observable_pauli()
+    blocks = cfg.sample_blocks(rng)
+    policy = cfg.policy()
     bits = [0] * cfg.n
 
     comp = StabMpoCompiler(cfg.n)
     state = Mps.product_state(bits)
     base = Mps.product_state(bits) if cfg.run_baseline else None
+    obs = cfg.observable_pauli() if cfg.run_baseline or cfg.run_temporal else None
 
-    out: dict = {"realization": realization, "hybrid": [], "baseline": [], "temporal": []}
+    out = dict(realization=realization, stabmpo=[], baseline=[], temporal=[])
     cum = 0.0
     cum_base = 0.0
-    for circ, rot in blocks:
+    for k, (circ, rot) in enumerate(blocks, start=1):
         comp.push_clifford(circ)
-        layer = comp.push_rotation(rot)
-        state, err = apply_layer(state, layer, policy)
+        state, err = apply_layer(state, comp.push_rotation(rot), policy)
         cum += err
-        nu = transform_observable(comp.tableau, obs)
-        out["hybrid"].append(
-            (
-                state.entanglement_entropy(cfg.n // 2),
-                state.expect_pauli(nu),
-                state.max_bond,
-                cum,
-                int(state.is_zero),
-            )
-        )
-
         if base is not None:
             for g in circ.gates:
                 base, gerr = _evolve_baseline_gate(base, g, policy)
                 cum_base += gerr
-            base = base.apply_1q_gate(
-                rotation_matrix(rot.axis, rot.theta), rot.site
-            )
-            out["baseline"].append(
-                (
-                    base.entanglement_entropy(cfg.n // 2),
-                    base.expect_pauli(obs),
-                    base.max_bond,
-                    cum_base,
-                    int(base.is_zero),
-                )
-            )
+            base = base.apply_1q_gate(rotation_matrix(rot.axis, rot.theta), rot.site)
+        if k % cfg.record_every:
+            continue
 
+        out["stabmpo"].append(_record(state, cfg.measure(state, comp.tableau), cum))
+        if base is not None:
+            out["baseline"].append(_record(base, base.expect_pauli(obs), cum_base))
         if cfg.run_temporal:
-            snapshot = StabMpoCircuit(cfg.n, list(comp.layers), comp.tableau)
-            hres = horizontal_contract(snapshot, obs, bits, policy)
+            hres = horizontal_contract(comp.result(), obs, bits, policy)
             out["temporal"].append(hres.temporal_entropy_bits)
     return out
 
 
-def _floquet_realization(cfg: FloquetConfig, realization: int) -> dict:
-    rng = realization_rng(cfg.seed, realization)
-    policy = TruncationPolicy(chi_max=cfg.chi, renormalize=True)
-    theta = pi + 2 * cfg.epsilon
-
-    comp = StabMpoCompiler(cfg.n)
-    state = Mps.product_state([0] * cfg.n)
-    out: dict = {"realization": realization, "steps": []}
-    cum = 0.0
-    for _ in range(cfg.periods):
-        comp.push_clifford(sample_u1_clifford(cfg.n, rng))
-        for j in range(cfg.n):
-            layer = comp.push_rotation(RotationGate(j, 1, theta))
-            state, err = apply_layer(state, layer, policy)
-            cum += err
-        mz = 0.0
-        for j in range(cfg.n):
-            nu = transform_observable(comp.tableau, PauliString.single(cfg.n, j, 3))
-            mz += state.expect_pauli(nu)
-        out["steps"].append(
-            (
-                mz / cfg.n,
-                state.entanglement_entropy(cfg.n // 2),
-                state.max_bond,
-                cum,
-                int(state.is_zero),
-            )
-        )
-    return out
-
-
-# ----------------------------------------------------------------------
-# aggregation and file output
-# ----------------------------------------------------------------------
-def _worker_count() -> int:
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-
-
-def _run_realizations(worker, cfg, count: int) -> list[dict]:
-    workers = _worker_count()
+def _run_realizations(cfg) -> list[dict]:
+    count = cfg.realizations
+    workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
     if workers == 1:
-        results = [worker(cfg, r) for r in range(count)]
+        results = [_realization(cfg, r) for r in range(count)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, [cfg] * count, range(count)))
+            results = list(pool.map(_realization, [cfg] * count, range(count)))
     return sorted(results, key=lambda d: d["realization"])
 
 
@@ -342,12 +360,6 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_meta(outdir: Path, kind: str, cfg) -> None:
-    lines = [f"run={kind}", f"code_version={__version__}"]
-    lines += [f"{k}={_fmt(v)}" for k, v in asdict(cfg).items()]
-    _write_lines(outdir / "meta.txt", lines)
-
-
 @dataclass
 class RunResult:
     kind: str
@@ -358,120 +370,76 @@ class RunResult:
     temporal_mean: np.ndarray | None = None
     outdir: Path | None = None
 
-    def aggregate_by(self, track: str, m: int) -> tuple:
-        for row in self.aggregate_rows:
-            if row[0] == track and row[1] == m:
-                return row
-        raise KeyError((track, m))
-
 
 _TRAJ_HEADER = (
     "realization,m,track,entropy_bits,observable,max_bond,"
     "cum_truncation_error,zero_state"
 )
-_AGG_HEADER = (
-    "track,m,entropy_mean,entropy_stderr,observable_mean,observable_stderr"
-)
-_AGG_FLOQUET_HEADER = _AGG_HEADER + ",analytic"
+
+
+def _run(cfg: TDopedConfig | FloquetConfig, outdir: str | Path | None) -> RunResult:
+    cfg.validate()
+    results = _run_realizations(cfg)
+    tracks = ["stabmpo"] + (["baseline"] if cfg.run_baseline else [])
+
+    rows = [
+        (res["realization"], m, track, *vals)
+        for res in results
+        for track in tracks
+        for m, vals in enumerate(res[track], start=1)
+    ]
+
+    agg_rows = []
+    for track in tracks:
+        for m in range(1, len(results[0][track]) + 1):
+            ent = [res[track][m - 1][0] for res in results]
+            obs = [res[track][m - 1][1] for res in results]
+            agg_rows.append(
+                (track, m, *mean_stderr(ent), *mean_stderr(obs), *cfg.reference(m))
+            )
+
+    temporal_mean = None
+    if results[0]["temporal"]:
+        stack = np.array([res["temporal"] for res in results])  # (R, m, n)
+        temporal_mean = stack.mean(axis=0)
+
+    out = RunResult(cfg.kind, cfg, rows, cfg.aggregate_header, agg_rows, temporal_mean)
+    if outdir is not None:
+        _write_files(out, Path(outdir))
+    return out
 
 
 def run_tdoped(cfg: TDopedConfig, outdir: str | Path | None = None) -> RunResult:
     """Run the T-doped study; write meta/trajectory/aggregate (and temporal) CSVs."""
-    cfg.validate()
-    results = _run_realizations(_tdoped_realization, cfg, cfg.realizations)
-
-    rows = []
-    for res in results:
-        r = res["realization"]
-        for m, vals in enumerate(res["hybrid"], start=1):
-            rows.append((r, m, "stabmpo", *vals))
-        for m, vals in enumerate(res["baseline"], start=1):
-            rows.append((r, m, "baseline", *vals))
-
-    agg_rows = []
-    tracks = ["stabmpo"] + (["baseline"] if cfg.run_baseline else [])
-    for track in tracks:
-        key = "hybrid" if track == "stabmpo" else "baseline"
-        for m in range(1, cfg.m_layers + 1):
-            ent = [res[key][m - 1][0] for res in results]
-            obs = [res[key][m - 1][1] for res in results]
-            e_mean, e_err = mean_stderr(ent)
-            o_mean, o_err = mean_stderr(obs)
-            agg_rows.append((track, m, e_mean, e_err, o_mean, o_err))
-
-    temporal_mean = None
-    if cfg.run_temporal and cfg.m_layers > 0:
-        stack = np.array([res["temporal"] for res in results])  # (R, m, n)
-        temporal_mean = stack.mean(axis=0)
-
-    out = RunResult("tdoped", cfg, rows, _AGG_HEADER, agg_rows, temporal_mean)
-    if outdir is not None:
-        _write_tdoped_files(out, Path(outdir))
-    return out
+    return _run(cfg, outdir)
 
 
 def run_floquet(cfg: FloquetConfig, outdir: str | Path | None = None) -> RunResult:
     """Run the kicked Floquet study; write meta/trajectory/aggregate CSVs."""
-    cfg.validate()
-    results = _run_realizations(_floquet_realization, cfg, cfg.realizations)
-
-    rows = []
-    for res in results:
-        r = res["realization"]
-        for m, vals in enumerate(res["steps"], start=1):
-            mz, ent, mb, cum, zero = vals
-            rows.append((r, m, "stabmpo", ent, mz, mb, cum, zero))
-
-    agg_rows = []
-    for m in range(1, cfg.periods + 1):
-        ent = [res["steps"][m - 1][1] for res in results]
-        mz = [res["steps"][m - 1][0] for res in results]
-        e_mean, e_err = mean_stderr(ent)
-        o_mean, o_err = mean_stderr(mz)
-        agg_rows.append(
-            ("stabmpo", m, e_mean, e_err, o_mean, o_err,
-             analytic_magnetization(cfg.epsilon, m))
-        )
-
-    out = RunResult("floquet", cfg, rows, _AGG_FLOQUET_HEADER, agg_rows)
-    if outdir is not None:
-        _write_floquet_files(out, Path(outdir))
-    return out
+    return _run(cfg, outdir)
 
 
-def _write_trajectory(outdir: Path, rows) -> None:
-    lines = [_TRAJ_HEADER]
-    for r, m, track, ent, obs, mb, cum, zero in rows:
-        lines.append(
+def _write_files(res: RunResult, outdir: Path) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    meta = [f"run={res.kind}", f"code_version={__version__}"]
+    meta += [f"{k}={_fmt(v)}" for k, v in asdict(res.config).items()]
+    _write_lines(outdir / "meta.txt", meta)
+
+    traj = [_TRAJ_HEADER]
+    for r, m, track, ent, obs, mb, cum, zero in res.rows:
+        traj.append(
             f"{r},{m},{track},{_fmt(float(ent))},{_fmt(float(obs))},"
             f"{int(mb)},{_fmt(float(cum))},{int(zero)}"
         )
-    _write_lines(outdir / "trajectory.csv", lines)
+    _write_lines(outdir / "trajectory.csv", traj)
 
+    agg = [res.aggregate_header]
+    for track, m, *vals in res.aggregate_rows:
+        agg.append(",".join([track, str(m)] + [_fmt(float(v)) for v in vals]))
+    _write_lines(outdir / "aggregate.csv", agg)
 
-def _write_aggregate(outdir: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        track, m, *vals = row
-        lines.append(",".join([track, str(m)] + [_fmt(float(v)) for v in vals]))
-    _write_lines(outdir / "aggregate.csv", lines)
-
-
-def _write_tdoped_files(res: RunResult, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_meta(outdir, "tdoped", res.config)
-    _write_trajectory(outdir, res.rows)
-    _write_aggregate(outdir, res.aggregate_header, res.aggregate_rows)
     if res.temporal_mean is not None:
         write_temporal_csv(outdir / "temporal.csv", res.temporal_mean)
-    res.outdir = outdir
-
-
-def _write_floquet_files(res: RunResult, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_meta(outdir, "floquet", res.config)
-    _write_trajectory(outdir, res.rows)
-    _write_aggregate(outdir, res.aggregate_header, res.aggregate_rows)
     res.outdir = outdir
 
 
@@ -492,6 +460,12 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def config_from_sources(cls, file_values: dict, overrides: dict):
     """Build a config dataclass from file values plus CLI overrides."""
     import dataclasses
@@ -510,6 +484,8 @@ def config_from_sources(cls, file_values: dict, overrides: dict):
             elif ftype in ("float", float):
                 val = float(val)
             elif ftype in ("bool", bool):
-                val = val.lower() in ("1", "true", "yes", "on")
+                if val.lower() not in _BOOL_WORDS:
+                    raise ValueError(f"config key {key!r} needs a boolean, got {val!r}")
+                val = _BOOL_WORDS[val.lower()]
         kwargs[key] = val
     return cls(**kwargs)

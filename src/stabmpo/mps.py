@@ -44,9 +44,6 @@ class TruncationPolicy:
             raise ValueError("svd_cutoff must be in [0, 1)")
 
 
-EXACT_POLICY = TruncationPolicy(chi_max=2**30, svd_cutoff=0.0)
-
-
 def _truncate_spectrum(s: np.ndarray, policy: TruncationPolicy) -> tuple[int, float]:
     """Number of values to keep and the discarded relative weight."""
     total = float(np.sum(s**2))

@@ -32,6 +32,12 @@ from .temporal import (
 )
 
 
+def _require(ok: bool, what: str) -> None:
+    # raise explicitly: python -O strips assert statements
+    if not ok:
+        raise RuntimeError(what)
+
+
 def _random_pauli(rng, n: int) -> PauliString:
     return PauliString.from_letters(
         [int(rng.integers(4)) for _ in range(n)], 2 * int(rng.integers(2))
@@ -44,7 +50,7 @@ def _check_pauli_products(rng) -> None:
         q = _random_pauli(rng, 3)
         lhs = (p.mul(q)).to_dense()
         rhs = p.to_dense() @ q.to_dense()
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        _require(np.allclose(lhs, rhs, atol=1e-12), "product differs from dense")
 
 
 def _check_tableau_vs_dense(rng) -> None:
@@ -67,13 +73,16 @@ def _check_tableau_vs_dense(rng) -> None:
         u = circuit_unitary(circ)
         for p in [_random_pauli(rng, 3).unsigned() for _ in range(4)]:
             img = tab.conjugate(p, "forward")
-            assert np.allclose(img.to_dense(), u @ p.to_dense() @ u.conj().T, atol=1e-10)
+            dense = u @ p.to_dense() @ u.conj().T
+            ok = np.allclose(img.to_dense(), dense, atol=1e-10)
+            _require(ok, "image differs from dense")
             back = tab.conjugate(img, "inverse")
-            assert back == p
+            _require(back == p, "inverse conjugation does not invert")
 
 
 def _check_enumeration() -> None:
-    assert len(two_qubit_clifford_sequences()) == TWO_QUBIT_CLIFFORD_COUNT
+    count = len(two_qubit_clifford_sequences())
+    _require(count == TWO_QUBIT_CLIFFORD_COUNT, f"enumeration has {count} elements")
 
 
 def _check_u1_certificates(rng) -> None:
@@ -83,24 +92,26 @@ def _check_u1_certificates(rng) -> None:
         seen = set()
         for j in range(n):
             img = tab.conjugate(PauliString.single(n, j, 3), "forward")
-            assert img.sign == 1 and img.weight == 1
-            assert img.letters().count(3) == 1
+            ok = img.sign == 1 and img.weight == 1 and img.letters().count(3) == 1
+            _require(ok, "Z image is not a single +Z")
             seen.add(img.support[0])
-        assert len(seen) == n
+        _require(len(seen) == n, "Z images are not a permutation")
 
 
 def _check_twirl() -> None:
-    assert twirl_s_channel_check()
+    _require(twirl_s_channel_check(), "replica-twirl identity fails")
 
 
 def _check_structure_factors() -> None:
     for g in range(4):
         for mu in range(4):
             s_dense = 0.5 * np.trace(SIGMA[mu] @ SIGMA[g] @ SIGMA[mu] @ SIGMA[g])
-            assert abs(s_factor(mu, g) - s_dense) < 1e-14
+            ok = abs(s_factor(mu, g) - s_dense) < 1e-14
+            _require(ok, "s factor differs from dense")
             for nu in range(4):
                 g_dense = 0.5 * np.trace(SIGMA[mu] @ SIGMA[nu] @ SIGMA[g])
-                assert abs(gamma_structure(mu, nu, g) - g_dense) < 1e-14
+                ok = abs(gamma_structure(mu, nu, g) - g_dense) < 1e-14
+                _require(ok, "gamma factor differs from dense")
 
 
 def _check_folded_sites(rng) -> None:
@@ -118,7 +129,8 @@ def _check_folded_sites(rng) -> None:
                         ref = 0.5 * np.trace(
                             SIGMA[mu] @ ops[a_ket] @ SIGMA[nu] @ ops[a_bra].conj().T
                         )
-                        assert abs(tensor.w[a, mu, nu] - ref) < 1e-12
+                        ok = abs(tensor.w[a, mu, nu] - ref) < 1e-12
+                        _require(ok, "folded tensor differs from dense")
 
 
 def _check_cross_methods(rng) -> None:
@@ -133,7 +145,7 @@ def _check_cross_methods(rng) -> None:
     vert = vertical_fold_evolve(compiled, obs, bits, policy).value
     horiz = horizontal_contract(compiled, obs, bits, policy).value
     for v in (got, vert, horiz):
-        assert abs(v - ref) < 1e-8
+        _require(abs(v - ref) < 1e-8, "method disagrees with dense")
 
 
 def _check_mps_exactness(rng) -> None:
@@ -155,7 +167,7 @@ def _check_mps_exactness(rng) -> None:
     vec = apply_circuit(vec, circ)
     p = _random_pauli(rng, n).unsigned()
     ref = np.vdot(vec, apply_pauli(vec, p, n)).real
-    assert abs(state.expect_pauli(p) - ref) < 1e-8
+    _require(abs(state.expect_pauli(p) - ref) < 1e-8, "MPS differs from dense")
 
 
 CHECKS = (

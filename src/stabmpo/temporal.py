@@ -77,6 +77,20 @@ def _structure_blocks(g: int) -> tuple[np.ndarray, ...]:
 # ----------------------------------------------------------------------
 # folded site tensor
 # ----------------------------------------------------------------------
+def folded_coefficients(phi0: complex, phi1: complex) -> tuple[complex, ...]:
+    """Weights of the four folded auxiliary values of one layer.
+
+    In the index order of ``_structure_blocks``: (|phi0|^2, phi0 phi1*,
+    phi0* phi1, |phi1|^2).
+    """
+    return (
+        abs(phi0) ** 2,
+        phi0 * np.conj(phi1),
+        np.conj(phi0) * phi1,
+        abs(phi1) ** 2,
+    )
+
+
 @dataclass(frozen=True)
 class FoldedSiteTensor:
     """Transfer tensor w[a, mu, nu], diagonal in the auxiliary index ``a``."""
@@ -95,14 +109,8 @@ def build_folded_site(gamma_j: int, phi0: complex, phi1: complex) -> FoldedSiteT
     """
     if abs(abs(phi0) ** 2 + abs(phi1) ** 2 - 1.0) > 1e-10:
         raise ValueError("coefficient pair is not unitary")
-    blocks = _structure_blocks(gamma_j)
-    coeffs = (
-        abs(phi0) ** 2,
-        phi0 * np.conj(phi1),
-        np.conj(phi0) * phi1,
-        abs(phi1) ** 2,
-    )
-    w = np.stack([c * b for c, b in zip(coeffs, blocks)])
+    coeffs = folded_coefficients(phi0, phi1)
+    w = np.stack([c * b for c, b in zip(coeffs, _structure_blocks(gamma_j))])
     return FoldedSiteTensor(gamma_j, w)
 
 
@@ -151,13 +159,7 @@ def vertical_fold_evolve(
     for layer in circuit.layers:
         if layer.is_identity_string:
             continue  # the four branches sum to exactly |phi0 + phi1|^2 = 1
-        phi0, phi1 = layer.phi0, layer.phi1
-        coeffs = (
-            abs(phi0) ** 2,
-            phi0 * np.conj(phi1),
-            np.conj(phi0) * phi1,
-            abs(phi1) ** 2,
-        )
+        coeffs = folded_coefficients(layer.phi0, layer.phi1)
         letters = layer.letters
         branches = [y]
         for a in (1, 2, 3):
@@ -197,25 +199,14 @@ class AuxChainState:
 
     mode: str
     chain: Mps
-    columns_done: int = 0
 
     @classmethod
     def initial(cls, circuit: StabMpoCircuit, mode: str) -> "AuxChainState":
         if mode == "folded":
-            vecs = []
-            for layer in circuit.layers:
-                phi0, phi1 = layer.phi0, layer.phi1
-                vecs.append(
-                    np.array(
-                        [
-                            abs(phi0) ** 2,
-                            phi0 * np.conj(phi1),
-                            np.conj(phi0) * phi1,
-                            abs(phi1) ** 2,
-                        ],
-                        dtype=np.complex128,
-                    )
-                )
+            vecs = [
+                np.array(folded_coefficients(l.phi0, l.phi1), dtype=np.complex128)
+                for l in circuit.layers
+            ]
         elif mode == "unfolded":
             kets = [
                 np.array([l.phi0, l.phi1], dtype=np.complex128)
@@ -346,7 +337,7 @@ def horizontal_contract(
         else:
             tensors = _unfolded_column(circuit, nu, j, bits[j])
         chain, err = _apply_column(aux.chain, tensors, policy)
-        aux = AuxChainState(mode, chain, j + 1)
+        aux = AuxChainState(mode, chain)
         res.column_truncation.append(err)
         res.max_bond = max(res.max_bond, chain.max_bond)
         if chain.is_zero:

@@ -297,6 +297,34 @@ def test_circuit_serialization_roundtrip():
     assert again.to_text() == text
 
 
+_GOOD_TEXT = (
+    "stabmpo-circuit qubits 1 layers 1\nLAYER 1 + 0.5 Z\n"
+    "residual-tableau\nqubits 1\nX0 -> +X\nZ0 -> +Z\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "stabmpo-circuit qubits 2\n",
+        _GOOD_TEXT.replace("0.5", "nan"),
+        _GOOD_TEXT.replace("+ 0.5 Z", "+ 0.5 ZZ"),
+    ],
+    ids=["empty", "short-header", "nan-angle", "size-mismatch"],
+)
+def test_circuit_from_text_rejects_bad_text(text):
+    StabMpoCircuit.from_text(_GOOD_TEXT)
+    with pytest.raises(ValueError):
+        StabMpoCircuit.from_text(text)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+def test_rotation_gate_rejects_non_finite_angle(theta):
+    with pytest.raises(ValueError):
+        RotationGate(0, 3, theta)
+
+
 def test_rotation_gate_validation():
     with pytest.raises(ValueError):
         RotationGate(0, 0, 1.0)

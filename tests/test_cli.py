@@ -34,6 +34,28 @@ def test_bad_value_exit_two(tmp_path):
     assert code == 2
 
 
+def test_bad_boolean_in_config_exit_two(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("run_baseline=ture\n")
+    code = main(["tdoped", "--config", str(cfg), "--n", "4", "--m", "1",
+                 "--realizations", "1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_selftest_fails_under_optimize():
+    # python -O strips assert statements; a broken reference must still fail
+    script = (
+        "import stabmpo.selftest as s\n"
+        "s.TWO_QUBIT_CLIFFORD_COUNT = 0\n"
+        "raise SystemExit(s.run_selftest(verbose=False))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+
+
 def test_floquet_deterministic_csv(tmp_path):
     args = [
         "floquet", "--n", "4", "--epsilon", "0.1", "--periods", "3",

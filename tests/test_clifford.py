@@ -132,6 +132,22 @@ def test_tableau_text_roundtrip():
     assert CliffordTableau.from_text(tab.to_text()) == tab
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "qubits 1\nX0 -> +X\n",
+        "qubits 1\nX0 -> +X\nZ0 -> +X\n",
+        "qubits 1\nX0 -> +X\nZ0 -> +Z\nZ0 -> +Z\n",
+        "qubits 1\nX0 -> +XI\nZ0 -> +ZI\n",
+        "qubits\nX0 -> +X\nZ0 -> +Z\n",
+    ],
+    ids=["missing-row", "non-symplectic", "duplicate-row", "wrong-length", "bad-header"],
+)
+def test_tableau_from_text_rejects_bad_tableau(text):
+    with pytest.raises(ValueError):
+        CliffordTableau.from_text(text)
+
+
 def test_circuit_text_roundtrip_and_determinism():
     rng = np.random.default_rng(18)
     circ = sample_brickwall(5, 2, rng)

@@ -282,3 +282,7 @@ def test_config_bool_parsing():
     )
     assert cfg.run_baseline is True
     assert cfg.run_temporal is False
+    cfg = config_from_sources(TDopedConfig, {"run_baseline": "OFF"}, {})
+    assert cfg.run_baseline is False
+    with pytest.raises(ValueError):
+        config_from_sources(TDopedConfig, {"run_baseline": "ture"}, {})
