@@ -43,7 +43,6 @@ from .mps import Mps, TruncationPolicy, add, add_many, inner
 from .pauli import OracleCapError, PauliString, pauli_coefficient
 from .temporal import (
     AuxChainState,
-    FoldedSiteTensor,
     build_folded_site,
     gamma_structure,
     horizontal_contract,
@@ -57,7 +56,6 @@ __all__ = [
     "CliffordTableau",
     "ExpectationResult",
     "FloquetConfig",
-    "FoldedSiteTensor",
     "Gate",
     "Mps",
     "OracleCapError",

@@ -116,9 +116,13 @@ class StabMpoCircuit:
         layers = []
         i = 1
         while i < len(lines) and lines[i].startswith("LAYER"):
-            _, _idx, sign_s, theta_s, body = lines[i].split()
+            _, idx_s, sign_s, theta_s, body = lines[i].split()
+            if int(idx_s) != len(layers) + 1:
+                raise ValueError(f"layer {len(layers) + 1} is numbered {idx_s}")
+            if sign_s not in ("+", "-"):
+                raise ValueError(f"layer sign must be + or -, got {sign_s!r}")
             sign = 1 if sign_s == "+" else -1
-            gamma = PauliString.from_literal(("+" if sign > 0 else "-") + body)
+            gamma = PauliString.from_literal(sign_s + body)
             layers.append(StabMpoLayer(gamma, sign * float(theta_s)))
             i += 1
         if len(layers) != m:

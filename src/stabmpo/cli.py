@@ -10,6 +10,7 @@ CSV files into the output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .harness import (
     TDopedConfig,
     config_from_sources,
     parse_config_file,
+    realization_rng,
     run_floquet,
     run_tdoped,
     sample_tdoped_blocks,
@@ -76,18 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TDOPED_KEYS = (
-    "n", "m_layers", "depth_d", "chi", "realizations", "seed",
-    "observable", "run_baseline", "run_temporal",
-)
-_FLOQUET_KEYS = ("n", "epsilon", "periods", "chi", "realizations", "seed")
-
-
-def _collect(args, keys) -> dict:
+def _collect(args, config_cls) -> dict:
+    """Flag values for the fields of ``config_cls`` that the subcommand has."""
     out = {}
-    for key in keys:
-        if hasattr(args, key):
-            out[key] = getattr(args, key)
+    for f in dataclasses.fields(config_cls):
+        if hasattr(args, f.name):
+            out[f.name] = getattr(args, f.name)
     if getattr(args, "baseline", None) is not None:
         out["run_baseline"] = args.baseline
     if getattr(args, "temporal", None) is not None:
@@ -107,7 +103,7 @@ def main(argv=None) -> int:
         file_values = parse_config_file(args.config) if args.config else {}
         if args.command in ("tdoped", "temporal"):
             cfg = config_from_sources(
-                TDopedConfig, file_values, _collect(args, _TDOPED_KEYS)
+                TDopedConfig, file_values, _collect(args, TDopedConfig)
             )
             if args.command == "temporal":
                 cfg.run_temporal = True
@@ -118,7 +114,7 @@ def main(argv=None) -> int:
 
         if args.command == "floquet":
             cfg = config_from_sources(
-                FloquetConfig, file_values, _collect(args, _FLOQUET_KEYS)
+                FloquetConfig, file_values, _collect(args, FloquetConfig)
             )
             outdir = Path(args.out) if args.out else Path("floquet_out")
             res = run_floquet(cfg, outdir)
@@ -126,15 +122,13 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "compile":
-            import numpy as np
-
             from .circuit import compile_blocks
 
             cfg = config_from_sources(
-                TDopedConfig, file_values, _collect(args, _TDOPED_KEYS)
+                TDopedConfig, file_values, _collect(args, TDopedConfig)
             )
             cfg.validate()
-            rng = np.random.default_rng([cfg.seed, 0])
+            rng = realization_rng(cfg.seed, 0)
             blocks = sample_tdoped_blocks(cfg.n, cfg.m_layers, cfg.depth_d, rng)
             compiled = compile_blocks(cfg.n, blocks)
             out = Path(args.out) if args.out else Path("compiled.stabmpo")

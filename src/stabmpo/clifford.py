@@ -106,7 +106,10 @@ def _header_count(line: str) -> int:
     parts = line.split()
     if len(parts) != 2 or parts[0] != "qubits":
         raise ValueError(f"text must start with 'qubits N', got {line!r}")
-    return int(parts[1])
+    n = int(parts[1])
+    if n < 1:
+        raise ValueError(f"qubit count must be >= 1, got {n}")
+    return n
 
 
 # ----------------------------------------------------------------------

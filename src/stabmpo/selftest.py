@@ -129,7 +129,7 @@ def _check_folded_sites(rng) -> None:
                         ref = 0.5 * np.trace(
                             SIGMA[mu] @ ops[a_ket] @ SIGMA[nu] @ ops[a_bra].conj().T
                         )
-                        ok = abs(tensor.w[a, mu, nu] - ref) < 1e-12
+                        ok = abs(tensor[a, mu, nu] - ref) < 1e-12
                         _require(ok, "folded tensor differs from dense")
 
 

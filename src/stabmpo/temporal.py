@@ -41,37 +41,23 @@ def s_factor(mu: int, g: int) -> float:
     return -1.0
 
 
-def gamma_matrix(g: int) -> np.ndarray:
-    """4x4 matrix with entries gamma_structure(mu, nu, g)."""
-    return _GAMMA_MATRICES[g]
-
-
-def s_matrix(g: int) -> np.ndarray:
-    """Diagonal 4x4 matrix of s_factor(mu, g)."""
-    return _S_MATRICES[g]
-
-
-_GAMMA_MATRICES = tuple(
-    np.array(
-        [[gamma_structure(mu, nu, g) for nu in range(4)] for mu in range(4)],
-        dtype=np.complex128,
-    )
-    for g in range(4)
-)
-_S_MATRICES = tuple(
-    np.diag([s_factor(mu, g) for mu in range(4)]).astype(np.complex128)
-    for g in range(4)
-)
-
-
-def _structure_blocks(g: int) -> tuple[np.ndarray, ...]:
-    """Coefficient-free transfer blocks per folded auxiliary value.
+def _coefficient_free_blocks(g: int) -> list[np.ndarray]:
+    """Transfer blocks of letter g per folded auxiliary value.
 
     Index order: 0 = (ket I, bra I), 1 = (I, string), 2 = (string, I),
     3 = (string, string).
     """
-    gm = gamma_matrix(g)
-    return (np.eye(4, dtype=np.complex128), gm, gm.T.copy(), s_matrix(g))
+    gm = np.array([[gamma_structure(mu, nu, g) for nu in range(4)] for mu in range(4)])
+    s = np.diag([s_factor(mu, g) for mu in range(4)])
+    return [np.eye(4), gm, gm.T, s]
+
+
+# FOLDED_BLOCKS[g, a, mu, nu]: the one source of the coefficient-free folded
+# blocks, read by the site tensor, the vertical fold and both column builders
+FOLDED_BLOCKS = np.array(
+    [_coefficient_free_blocks(g) for g in range(4)], dtype=np.complex128
+)
+FOLDED_BLOCKS.setflags(write=False)
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +66,7 @@ def _structure_blocks(g: int) -> tuple[np.ndarray, ...]:
 def folded_coefficients(phi0: complex, phi1: complex) -> tuple[complex, ...]:
     """Weights of the four folded auxiliary values of one layer.
 
-    In the index order of ``_structure_blocks``: (|phi0|^2, phi0 phi1*,
+    In the index order of ``FOLDED_BLOCKS``: (|phi0|^2, phi0 phi1*,
     phi0* phi1, |phi1|^2).
     """
     return (
@@ -91,27 +77,16 @@ def folded_coefficients(phi0: complex, phi1: complex) -> tuple[complex, ...]:
     )
 
 
-@dataclass(frozen=True)
-class FoldedSiteTensor:
-    """Transfer tensor w[a, mu, nu], diagonal in the auxiliary index ``a``."""
+def build_folded_site(gamma_j: int, phi0: complex, phi1: complex) -> np.ndarray:
+    """Folded transfer tensor w[a, mu, nu] of one layer site, coefficients included.
 
-    gamma_index: int
-    w: np.ndarray
-
-    def block(self, a: int) -> np.ndarray:
-        return self.w[a]
-
-
-def build_folded_site(gamma_j: int, phi0: complex, phi1: complex) -> FoldedSiteTensor:
-    """Folded transfer tensor of one layer site, coefficients included.
-
-    ``phi0, phi1`` must form a unitary pair (|phi0|^2 + |phi1|^2 = 1).
+    Diagonal in the auxiliary index ``a``.  ``phi0, phi1`` must form a
+    unitary pair (|phi0|^2 + |phi1|^2 = 1).
     """
     if abs(abs(phi0) ** 2 + abs(phi1) ** 2 - 1.0) > 1e-10:
         raise ValueError("coefficient pair is not unitary")
-    coeffs = folded_coefficients(phi0, phi1)
-    w = np.stack([c * b for c, b in zip(coeffs, _structure_blocks(gamma_j))])
-    return FoldedSiteTensor(gamma_j, w)
+    coeffs = np.array(folded_coefficients(phi0, phi1))
+    return coeffs[:, None, None] * FOLDED_BLOCKS[gamma_j]
 
 
 def computational_pauli_vector(bit: int) -> np.ndarray:
@@ -160,12 +135,12 @@ def vertical_fold_evolve(
         if layer.is_identity_string:
             continue  # the four branches sum to exactly |phi0 + phi1|^2 = 1
         coeffs = folded_coefficients(layer.phi0, layer.phi1)
-        letters = layer.letters
+        gamma = layer.gamma
         branches = [y]
         for a in (1, 2, 3):
             branch = y
-            for j in letters.support:
-                block = _structure_blocks(letters.letter(j))[a]
+            for j in gamma.support:
+                block = FOLDED_BLOCKS[gamma.letter(j), a]
                 branch = branch.apply_site_matrix(block, j)
             branches.append(branch)
         y, err = add_many(list(zip(coeffs, branches)), policy)
@@ -227,27 +202,46 @@ class AuxChainState:
         return ceil(self.chain.n / 2)
 
 
+def _aux_diagonal(mats) -> np.ndarray:
+    """Put per-branch wire matrices on the auxiliary diagonal.
+
+    Returns the (w_in, a', a, w_out) tensor with mats[a] acting on the wire
+    of branch a' = a.
+    """
+    dim = mats[0].shape[0]
+    arr = np.zeros((dim, len(mats), len(mats), dim), dtype=np.complex128)
+    for a, mat in enumerate(mats):
+        arr[:, a, a, :] = mat.T
+    return arr
+
+
+def _cap_column(tensors: list, bottom: np.ndarray, top: np.ndarray) -> list:
+    """Contract the wire's bottom cap into the first tensor, its top cap into the last.
+
+    List entries are replaced, never written into, so the shared column
+    tensors stay intact.  With one tensor, the bottom cap goes on first.
+    """
+    tensors[0] = np.tensordot(bottom, tensors[0], axes=(0, 0))[None, ...]  # (1,a',a,w)
+    last = tensors[-1]
+    tensors[-1] = np.tensordot(last, top, axes=(last.ndim - 1, 0))[..., None]
+    return tensors
+
+
+# (w_in, a', a, w_out) column tensor of each layer letter, uncapped
+_FOLDED_COLUMNS = tuple(_aux_diagonal(FOLDED_BLOCKS[g]) for g in range(4))
+for _column in _FOLDED_COLUMNS:
+    _column.setflags(write=False)  # shared by every column of every sweep
+
+
 def _folded_column(circuit: StabMpoCircuit, nu: PauliString, site: int, bit: int):
     """Column transfer tensors over the folded auxiliary chain.
 
     The wire is the dim-4 Pauli index threaded bottom cap -> rows -> top cap.
     """
-    bottom = computational_pauli_vector(bit)
     top = np.zeros(4, dtype=np.complex128)
     top[nu.letter(site)] = 2.0
-    tensors = []
-    m = circuit.m
-    for k, layer in enumerate(circuit.layers):
-        blocks = _structure_blocks(layer.letters.letter(site))
-        arr = np.zeros((4, 4, 4, 4), dtype=np.complex128)  # (w_in, a', a, w_out)
-        for a in range(4):
-            arr[:, a, a, :] = blocks[a].T
-        if k == 0:
-            arr = np.tensordot(bottom, arr, axes=(0, 0))[None, ...]  # (1,a',a,w)
-        if k == m - 1:
-            arr = np.tensordot(arr, top, axes=(arr.ndim - 1, 0))[..., None]
-        tensors.append(arr)
-    return tensors
+    tensors = [_FOLDED_COLUMNS[layer.gamma.letter(site)] for layer in circuit.layers]
+    return _cap_column(tensors, computational_pauli_vector(bit), top)
 
 
 def _unfolded_column(circuit: StabMpoCircuit, nu: PauliString, site: int, bit: int):
@@ -259,19 +253,11 @@ def _unfolded_column(circuit: StabMpoCircuit, nu: PauliString, site: int, bit: i
     tensors = []
     for pos in range(2 * m):
         layer = circuit.layers[pos] if pos < m else circuit.layers[2 * m - 1 - pos]
-        gate_mat = SIGMA[layer.letters.letter(site)]
-        mats = [np.eye(2, dtype=np.complex128), gate_mat]
+        mats = [SIGMA[0], SIGMA[layer.gamma.letter(site)]]
         if pos == m:  # observable sits on the wire entering the top bra row
             mats = [mat @ obs_mat for mat in mats]
-        arr = np.zeros((2, 2, 2, 2), dtype=np.complex128)  # (w_in, a', a, w_out)
-        for a in range(2):
-            arr[:, a, a, :] = mats[a].T
-        if pos == 0:
-            arr = np.tensordot(cap, arr, axes=(0, 0))[None, ...]
-        if pos == 2 * m - 1:
-            arr = np.tensordot(arr, cap, axes=(arr.ndim - 1, 0))[..., None]
-        tensors.append(arr)
-    return tensors
+        tensors.append(_aux_diagonal(mats))
+    return _cap_column(tensors, cap, cap)
 
 
 def _apply_column(chain: Mps, tensors, policy: TruncationPolicy) -> tuple[Mps, float]:

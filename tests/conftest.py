@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# Every tensor in the suite is small, so extra BLAS threads add nothing but
+# contention.  This must run before numpy loads BLAS.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from stabmpo.clifford import CliffordCircuit, Gate
 from stabmpo.dense import GATE_1Q, GATE_2Q

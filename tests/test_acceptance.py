@@ -240,7 +240,7 @@ def test_criterion_6_transfer_tensor_algebra():
                                 @ SIGMA[nu]
                                 @ ops[a_bra].conj().T
                             )
-                            assert abs(tensor.w[a, mu, nu] - ref) <= 1e-12
+                            assert abs(tensor[a, mu, nu] - ref) <= 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -310,8 +310,13 @@ _GOOD_TEXT = (
         "stabmpo-circuit qubits 2\n",
         _GOOD_TEXT.replace("0.5", "nan"),
         _GOOD_TEXT.replace("+ 0.5 Z", "+ 0.5 ZZ"),
+        _GOOD_TEXT.replace("LAYER 1 +", "LAYER 1 *"),
+        _GOOD_TEXT.replace("LAYER 1", "LAYER 7"),
     ],
-    ids=["empty", "short-header", "nan-angle", "size-mismatch"],
+    ids=[
+        "empty", "short-header", "nan-angle", "size-mismatch", "bad-sign",
+        "bad-index",
+    ],
 )
 def test_circuit_from_text_rejects_bad_text(text):
     StabMpoCircuit.from_text(_GOOD_TEXT)

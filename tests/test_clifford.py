@@ -140,12 +140,25 @@ def test_tableau_text_roundtrip():
         "qubits 1\nX0 -> +X\nZ0 -> +Z\nZ0 -> +Z\n",
         "qubits 1\nX0 -> +XI\nZ0 -> +ZI\n",
         "qubits\nX0 -> +X\nZ0 -> +Z\n",
+        "qubits 0\n",
     ],
-    ids=["missing-row", "non-symplectic", "duplicate-row", "wrong-length", "bad-header"],
+    ids=[
+        "missing-row", "non-symplectic", "duplicate-row", "wrong-length",
+        "bad-header", "zero-qubits",
+    ],
 )
 def test_tableau_from_text_rejects_bad_tableau(text):
     with pytest.raises(ValueError):
         CliffordTableau.from_text(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["qubits -2\n", "qubits 2.5\nH 0\n"], ids=["negative", "non-integer"]
+)
+def test_circuit_from_text_rejects_bad_qubit_count(text):
+    CliffordCircuit.from_text("qubits 2\nH 0\n")
+    with pytest.raises(ValueError):
+        CliffordCircuit.from_text(text)
 
 
 def test_circuit_text_roundtrip_and_determinism():

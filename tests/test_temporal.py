@@ -12,7 +12,7 @@ from stabmpo.circuit import (
     expectation,
 )
 from stabmpo.clifford import CliffordTableau
-from stabmpo.harness import sample_tdoped_blocks
+from stabmpo.harness import realization_rng, sample_tdoped_blocks
 from stabmpo.mps import Mps, TruncationPolicy
 from stabmpo.pauli import SIGMA, PauliString, pauli_coefficient
 from stabmpo.temporal import (
@@ -93,7 +93,7 @@ def dense_folded_reference(g: int, phi0: complex, phi1: complex) -> np.ndarray:
 def test_folded_site_disconnected_when_trivial():
     t = build_folded_site(0, cos(0.4), -1j * sin(0.4))
     for a in range(4):
-        block = t.block(a)
+        block = t[a]
         assert np.allclose(block, block[0, 0] * np.eye(4))
 
 
@@ -101,14 +101,14 @@ def test_folded_site_t_gate_block():
     phi0, phi1 = cos(pi / 8), -1j * sin(pi / 8)
     t = build_folded_site(3, phi0, phi1)
     want = sin(pi / 8) ** 2 * np.diag([1.0, -1.0, -1.0, 1.0])
-    assert np.allclose(t.block(3), want, atol=1e-14)
+    assert np.allclose(t[3], want, atol=1e-14)
 
 
 def test_folded_site_pure_identity_channel():
     t = build_folded_site(2, 1.0, 0.0)
-    assert np.allclose(t.block(0), np.eye(4))
+    assert np.allclose(t[0], np.eye(4))
     for a in (1, 2, 3):
-        assert np.allclose(t.block(a), 0.0)
+        assert np.allclose(t[a], 0.0)
 
 
 def test_folded_site_random_vs_dense_trace():
@@ -119,7 +119,7 @@ def test_folded_site_random_vs_dense_trace():
         sign = 1.0 if rng.integers(2) else -1.0
         phi0, phi1 = cos(theta / 2), sign * -1j * sin(theta / 2)
         t = build_folded_site(g, phi0, phi1)
-        assert np.max(np.abs(t.w - dense_folded_reference(g, phi0, phi1))) < 1e-12
+        assert np.max(np.abs(t - dense_folded_reference(g, phi0, phi1))) < 1e-12
 
 
 def test_folded_site_rejects_non_unitary_pair():
@@ -266,6 +266,22 @@ def test_horizontal_rejects_length_mismatch():
     circ = trivial_circuit(3, [])
     with pytest.raises(ValueError):
         horizontal_contract(circ, PauliString.identity(3), [0, 0], EXACT)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="ROADMAP item 5: a truncated folded sweep can leave an imaginary "
+    "residual (-0.0016 here); a real gauge for the folded network closes it",
+)
+def test_horizontal_truncated_sweep_has_no_imaginary_residual():
+    # `stabmpo temporal --n 12 --m 16 --d 1 --chi 4 --realizations 15 --seed 1`
+    # exits 2 on realization 14, step 12; this is that step as one call
+    n = 12
+    blocks = sample_tdoped_blocks(n, 12, 1, realization_rng(1, 14))
+    circ = compile_blocks(n, blocks)
+    obs = PauliString.single(n, n // 2, 3)
+    horizontal_contract(circ, obs, [0] * n, TruncationPolicy(chi_max=4))
 
 
 def test_write_temporal_csv(tmp_path):
