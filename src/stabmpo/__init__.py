@@ -7,6 +7,15 @@ through the layers (or by contracting the folded transfer network) and
 pulling the observable back through the residual Clifford.
 """
 
+import os
+
+# Every tensor here is small: threaded BLAS adds overhead and oversubscribes
+# the cores under STABMPO_WORKERS.  Set before any submodule loads numpy
+# (forked workers inherit the loaded library); a value the user set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .circuit import (
@@ -42,7 +51,6 @@ from .harness import (
 from .mps import Mps, TruncationPolicy, add, add_many, inner
 from .pauli import OracleCapError, PauliString, pauli_coefficient
 from .temporal import (
-    AuxChainState,
     build_folded_site,
     gamma_structure,
     horizontal_contract,
@@ -51,7 +59,6 @@ from .temporal import (
 )
 
 __all__ = [
-    "AuxChainState",
     "CliffordCircuit",
     "CliffordTableau",
     "ExpectationResult",

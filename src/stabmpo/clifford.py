@@ -339,6 +339,9 @@ def two_qubit_clifford_sequences() -> tuple[tuple[Gate, ...], ...]:
     Built once by breadth-first closure over {H, S, CNOT} generators and
     deduplicated by canonical tableau form (i.e. up to global phase).  The
     BFS order is deterministic, so index i always denotes the same element.
+    A state is the packed ``(x, z, phase % 4)`` images of X0, X1, Z0, Z1;
+    it is its own dedup key, equivalent to ``CliffordTableau.key()``
+    because the letter exponent is fixed by ``(x, z, phase)``.
     """
     generators = (
         Gate("H", (0,)),
@@ -347,18 +350,20 @@ def two_qubit_clifford_sequences() -> tuple[tuple[Gate, ...], ...]:
         Gate("S", (1,)),
         Gate("CNOT", (0, 1)),
     )
-    start = CliffordTableau.identity(2)
-    seen: dict[tuple, tuple[Gate, ...]] = {start.key(): ()}
+    start = tuple(CliffordTableau.identity(2)._images_packed())
+    seen = {start}
     order: list[tuple[Gate, ...]] = [()]
-    queue: deque[tuple[CliffordTableau, tuple[Gate, ...]]] = deque([(start, ())])
+    queue: deque[tuple[tuple, tuple[Gate, ...]]] = deque([(start, ())])
     while queue:
-        tab, seq = queue.popleft()
+        state, seq = queue.popleft()
         for g in generators:
-            nxt = tab.apply_gate(g)
-            k = nxt.key()
-            if k not in seen:
+            nxt = tuple(
+                (x, z, phase % 4)
+                for x, z, phase in (_conjugate_bits(*img, g) for img in state)
+            )
+            if nxt not in seen:
                 s = seq + (g,)
-                seen[k] = s
+                seen.add(nxt)
                 order.append(s)
                 queue.append((nxt, s))
     if len(order) != TWO_QUBIT_CLIFFORD_COUNT:

@@ -59,6 +59,15 @@ def _truncate_spectrum(s: np.ndarray, policy: TruncationPolicy) -> tuple[int, fl
     return k, discarded
 
 
+def basis_bits(bits) -> list[int]:
+    """Computational-basis labels as ints; each raw value must equal 0 or 1."""
+    bits = list(bits)
+    for b in bits:
+        if b not in (0, 1):  # int() would read 2 and -1 as 1, and 0.7 as 0
+            raise ValueError(f"initial bit {b!r} is not 0 or 1")
+    return [int(b) for b in bits]
+
+
 class Mps:
     """Matrix product state with bond cap and truncation bookkeeping."""
 
@@ -88,9 +97,9 @@ class Mps:
     def product_state(cls, bits) -> "Mps":
         """Computational basis product state |b_0 b_1 ...>."""
         tensors = []
-        for b in bits:
+        for b in basis_bits(bits):
             t = np.zeros((1, 2, 1), dtype=np.complex128)
-            t[0, int(b), 0] = 1.0
+            t[0, b, 0] = 1.0
             tensors.append(t)
         return cls(tensors, center=0)
 
@@ -181,22 +190,16 @@ class Mps:
         center = self.center if _is_unitary(mat) else None
         return Mps(tensors, self.log_norm, center, self.is_zero)
 
-    def apply_1q_gate(
-        self, u: np.ndarray, site: int, check_unitary: bool = True
-    ) -> "Mps":
+    def apply_1q_gate(self, u: np.ndarray, site: int) -> "Mps":
         u = np.asarray(u, dtype=np.complex128)
         if u.shape != (2, 2):
             raise ValueError("1q gate must be 2x2")
-        if check_unitary and not _is_unitary(u):
+        if not _is_unitary(u):
             raise ValueError("gate is not unitary to 1e-10")
         return self.apply_site_matrix(u, site)
 
     def apply_2q_gate(
-        self,
-        u: np.ndarray,
-        site: int,
-        policy: TruncationPolicy,
-        check_unitary: bool = True,
+        self, u: np.ndarray, site: int, policy: TruncationPolicy
     ) -> tuple["Mps", float]:
         """Apply a 4x4 gate on (site, site+1) with an SVD split.
 
@@ -209,7 +212,7 @@ class Mps:
         u = np.asarray(u, dtype=np.complex128)
         if u.shape != (4, 4):
             raise ValueError("2q gate must be 4x4")
-        if check_unitary and not _is_unitary(u):
+        if not _is_unitary(u):
             raise ValueError("gate is not unitary to 1e-10")
 
         work = self.move_center(site)

@@ -17,8 +17,8 @@ from math import ceil
 import numpy as np
 
 from .circuit import StabMpoCircuit, transform_observable
-from .mps import Mps, TruncationPolicy, add_many, inner
-from .pauli import SIGMA, PauliString
+from .mps import Mps, TruncationPolicy, add_many, basis_bits, inner
+from .pauli import PauliString
 
 
 # ----------------------------------------------------------------------
@@ -53,7 +53,7 @@ def _coefficient_free_blocks(g: int) -> list[np.ndarray]:
 
 
 # FOLDED_BLOCKS[g, a, mu, nu]: the one source of the coefficient-free folded
-# blocks, read by the site tensor, the vertical fold and both column builders
+# blocks, read by the site tensor, the vertical fold and the column builder
 FOLDED_BLOCKS = np.array(
     [_coefficient_free_blocks(g) for g in range(4)], dtype=np.complex128
 )
@@ -125,7 +125,7 @@ def vertical_fold_evolve(
     dim-4 coefficient train; pairing the result with the pulled-back
     observable components reproduces the layer-evolved expectation.
     """
-    bits = [int(b) for b in bits]
+    bits = basis_bits(bits)
     if len(bits) != circuit.n:
         raise ValueError("initial state length mismatch")
     y = Mps.from_site_vectors([computational_pauli_vector(b) for b in bits])
@@ -162,46 +162,6 @@ def vertical_fold_evolve(
 # ----------------------------------------------------------------------
 # horizontal contraction: auxiliary-row chain swept over columns
 # ----------------------------------------------------------------------
-@dataclass
-class AuxChainState:
-    """Auxiliary-row chain built from the layer boundary coefficient pairs.
-
-    ``folded`` mode merges each layer's ket/bra rows into one dim-4 site;
-    ``unfolded`` keeps 2M dim-2 sites ordered ket rows bottom-up then bra
-    rows top-down.  The right closure is the unnormalized all-ones vector
-    per site in both modes.
-    """
-
-    mode: str
-    chain: Mps
-
-    @classmethod
-    def initial(cls, circuit: StabMpoCircuit, mode: str) -> "AuxChainState":
-        if mode == "folded":
-            vecs = [
-                np.array(folded_coefficients(l.phi0, l.phi1), dtype=np.complex128)
-                for l in circuit.layers
-            ]
-        elif mode == "unfolded":
-            kets = [
-                np.array([l.phi0, l.phi1], dtype=np.complex128)
-                for l in circuit.layers
-            ]
-            vecs = kets + [v.conj() for v in reversed(kets)]
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        return cls(mode, Mps.from_site_vectors(vecs))
-
-    def closure_vector(self) -> Mps:
-        dim = 4 if self.mode == "folded" else 2
-        return Mps.from_site_vectors(
-            [np.ones(dim, dtype=np.complex128) for _ in range(self.chain.n)]
-        )
-
-    def mid_cut(self) -> int:
-        return ceil(self.chain.n / 2)
-
-
 def _aux_diagonal(mats) -> np.ndarray:
     """Put per-branch wire matrices on the auxiliary diagonal.
 
@@ -215,18 +175,6 @@ def _aux_diagonal(mats) -> np.ndarray:
     return arr
 
 
-def _cap_column(tensors: list, bottom: np.ndarray, top: np.ndarray) -> list:
-    """Contract the wire's bottom cap into the first tensor, its top cap into the last.
-
-    List entries are replaced, never written into, so the shared column
-    tensors stay intact.  With one tensor, the bottom cap goes on first.
-    """
-    tensors[0] = np.tensordot(bottom, tensors[0], axes=(0, 0))[None, ...]  # (1,a',a,w)
-    last = tensors[-1]
-    tensors[-1] = np.tensordot(last, top, axes=(last.ndim - 1, 0))[..., None]
-    return tensors
-
-
 # (w_in, a', a, w_out) column tensor of each layer letter, uncapped
 _FOLDED_COLUMNS = tuple(_aux_diagonal(FOLDED_BLOCKS[g]) for g in range(4))
 for _column in _FOLDED_COLUMNS:
@@ -237,27 +185,19 @@ def _folded_column(circuit: StabMpoCircuit, nu: PauliString, site: int, bit: int
     """Column transfer tensors over the folded auxiliary chain.
 
     The wire is the dim-4 Pauli index threaded bottom cap -> rows -> top cap.
+    The bottom cap is contracted into the first tensor, then the top cap
+    into the last (the same tensor when there is one row).  List entries
+    are replaced, never written into, so the shared column tensors stay
+    intact.
     """
     top = np.zeros(4, dtype=np.complex128)
     top[nu.letter(site)] = 2.0
     tensors = [_FOLDED_COLUMNS[layer.gamma.letter(site)] for layer in circuit.layers]
-    return _cap_column(tensors, computational_pauli_vector(bit), top)
-
-
-def _unfolded_column(circuit: StabMpoCircuit, nu: PauliString, site: int, bit: int):
-    """Column transfer tensors over the 2M-site unfolded chain (dim-2 wire)."""
-    m = circuit.m
-    cap = np.zeros(2, dtype=np.complex128)
-    cap[bit] = 1.0
-    obs_mat = SIGMA[nu.letter(site)]
-    tensors = []
-    for pos in range(2 * m):
-        layer = circuit.layers[pos] if pos < m else circuit.layers[2 * m - 1 - pos]
-        mats = [SIGMA[0], SIGMA[layer.gamma.letter(site)]]
-        if pos == m:  # observable sits on the wire entering the top bra row
-            mats = [mat @ obs_mat for mat in mats]
-        tensors.append(_aux_diagonal(mats))
-    return _cap_column(tensors, cap, cap)
+    bottom = computational_pauli_vector(bit)
+    tensors[0] = np.tensordot(bottom, tensors[0], axes=(0, 0))[None, ...]  # (1,a',a,w)
+    last = tensors[-1]
+    tensors[-1] = np.tensordot(last, top, axes=(last.ndim - 1, 0))[..., None]
+    return tensors
 
 
 def _apply_column(chain: Mps, tensors, policy: TruncationPolicy) -> tuple[Mps, float]:
@@ -287,16 +227,17 @@ def horizontal_contract(
     observable: PauliString,
     bits,
     policy: TruncationPolicy,
-    mode: str = "folded",
 ) -> HorizontalResult:
-    """Sweep the auxiliary chain over physical columns left to right.
+    """Sweep the folded auxiliary chain over physical columns left to right.
 
+    The chain has one dim-4 site per layer, holding that layer's folded
+    coefficients, and is closed by the all-ones vector on every site.
     Only computational product initial states are supported: the column
     closure needs single-site matrix elements of the boundary state.  The
     symmetric-bipartition entropy of the chain is recorded after every
     column; the final scalar matches the vertical contraction.
     """
-    bits = [int(b) for b in bits]
+    bits = basis_bits(bits)
     if len(bits) != circuit.n:
         raise ValueError("initial state length mismatch")
     nu, sign = _observable_letters(circuit, observable)
@@ -312,18 +253,17 @@ def horizontal_contract(
                 break
         return HorizontalResult(sign * value, np.zeros(circuit.n))
 
-    aux = AuxChainState.initial(circuit, mode)
+    chain = Mps.from_site_vectors(
+        np.array(folded_coefficients(l.phi0, l.phi1), dtype=np.complex128)
+        for l in circuit.layers
+    )
     entropies = np.zeros(circuit.n)
     res = HorizontalResult(0.0, entropies)
-    cut = aux.mid_cut()
+    cut = ceil(circuit.m / 2)
 
     for j in range(circuit.n):
-        if mode == "folded":
-            tensors = _folded_column(circuit, nu, j, bits[j])
-        else:
-            tensors = _unfolded_column(circuit, nu, j, bits[j])
-        chain, err = _apply_column(aux.chain, tensors, policy)
-        aux = AuxChainState(mode, chain)
+        tensors = _folded_column(circuit, nu, j, bits[j])
+        chain, err = _apply_column(chain, tensors, policy)
         res.column_truncation.append(err)
         res.max_bond = max(res.max_bond, chain.max_bond)
         if chain.is_zero:
@@ -332,7 +272,10 @@ def horizontal_contract(
             return res
         entropies[j] = chain.entanglement_entropy(cut)
 
-    value = sign * inner(aux.closure_vector(), aux.chain)
+    closure = Mps.from_site_vectors(
+        np.ones(4, dtype=np.complex128) for _ in range(circuit.m)
+    )
+    value = sign * inner(closure, chain)
     if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
         raise ValueError(f"horizontal expectation has imaginary residual {value.imag}")
     res.value = float(value.real)

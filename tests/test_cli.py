@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, config plumbing, exit codes."""
 
+import os
 import subprocess
 import sys
+
+import pytest
 
 from stabmpo.circuit import StabMpoCircuit
 from stabmpo.cli import main
@@ -54,6 +57,20 @@ def test_selftest_fails_under_optimize():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_pins_blas_threads_unless_set(preset, expected):
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = "import stabmpo, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
 
 
 def test_floquet_deterministic_csv(tmp_path):

@@ -1,5 +1,7 @@
 """Tableau conjugation, samplers and the two-qubit group enumeration."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,13 @@ def test_two_qubit_enumeration_complete_and_unique():
     for seq in seqs:
         keys.add(CliffordTableau.from_circuit(CliffordCircuit(2, seq)).key())
     assert len(keys) == TWO_QUBIT_CLIFFORD_COUNT
+
+
+def test_two_qubit_enumeration_order_is_pinned():
+    # sample_two_qubit_clifford draws by index, so the BFS order is part of
+    # every seeded T-doped and brickwall circuit
+    digest = hashlib.sha256(repr(two_qubit_clifford_sequences()).encode()).hexdigest()
+    assert digest == "2ec4a8609b1ca00706479a9ecc389b2a2605b49e5a40ff997787ede6213281b0"
 
 
 def test_brickwall_two_qubit_clifford_uniform():

@@ -64,7 +64,7 @@ def test_1q_gate_rejects_non_unitary():
     m = Mps.product_state([0])
     with pytest.raises(ValueError):
         m.apply_1q_gate(np.array([[1.0, 0.0], [0.0, 2.0]]), 0)
-    m.apply_1q_gate(np.array([[1.0, 0.0], [0.0, 2.0]]), 0, check_unitary=False)
+    m.apply_site_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]), 0)
 
 
 def test_1q_gate_matches_dense():

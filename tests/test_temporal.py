@@ -16,7 +16,6 @@ from stabmpo.harness import realization_rng, sample_tdoped_blocks
 from stabmpo.mps import Mps, TruncationPolicy
 from stabmpo.pauli import SIGMA, PauliString, pauli_coefficient
 from stabmpo.temporal import (
-    AuxChainState,
     build_folded_site,
     computational_pauli_vector,
     gamma_structure,
@@ -214,11 +213,9 @@ def test_horizontal_matches_vertical_and_layers():
         bits = [int(b) for b in rng.integers(2, size=n)]
         ref = expectation(Mps.product_state(bits), compiled, obs, EXACT).value
         vert = vertical_fold_evolve(compiled, obs, bits, EXACT).value
-        folded = horizontal_contract(compiled, obs, bits, EXACT, mode="folded")
-        unfolded = horizontal_contract(compiled, obs, bits, EXACT, mode="unfolded")
+        folded = horizontal_contract(compiled, obs, bits, EXACT)
         assert vert == pytest.approx(ref, abs=1e-8)
         assert folded.value == pytest.approx(ref, abs=1e-8)
-        assert unfolded.value == pytest.approx(ref, abs=1e-8)
 
 
 def test_horizontal_m0_direct_value():
@@ -229,7 +226,7 @@ def test_horizontal_m0_direct_value():
     assert np.allclose(res.temporal_entropy_bits, 0.0)
 
 
-def test_horizontal_entropy_profile_shape_and_chain_modes():
+def test_horizontal_entropy_profile_shape():
     rng = np.random.default_rng(74)
     n, m = 5, 4
     blocks = sample_tdoped_blocks(n, m, 1, rng)
@@ -237,13 +234,6 @@ def test_horizontal_entropy_profile_shape_and_chain_modes():
     obs = PauliString.single(n, 2, 3)
     res = horizontal_contract(compiled, obs, [0] * n, EXACT)
     assert res.temporal_entropy_bits.shape == (n,)
-    aux_folded = AuxChainState.initial(compiled, "folded")
-    aux_unfolded = AuxChainState.initial(compiled, "unfolded")
-    assert aux_folded.chain.n == m
-    assert aux_unfolded.chain.n == 2 * m
-    assert aux_folded.chain.phys_dims == (4,) * m
-    assert aux_folded.mid_cut() == 2
-    assert aux_unfolded.mid_cut() == m
 
 
 def test_horizontal_pi_layer_with_x_observable_collapses_chain():
@@ -253,13 +243,29 @@ def test_horizontal_pi_layer_with_x_observable_collapses_chain():
     layer = StabMpoLayer(PauliString.from_literal("XX"), pi)
     circ = trivial_circuit(n, [layer])
     obs = PauliString.single(n, 0, 1)  # X on qubit 0
-    for mode in ("folded", "unfolded"):
-        res = horizontal_contract(circ, obs, [0, 0], EXACT, mode=mode)
-        assert res.zero_state
-        assert res.value == 0.0
+    res = horizontal_contract(circ, obs, [0, 0], EXACT)
+    assert res.zero_state
+    assert res.value == 0.0
     # the exact value is indeed zero
     ref = expectation(Mps.product_state([0, 0]), circ, obs, EXACT).value
     assert ref == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5])
+@pytest.mark.parametrize("entry", ["horizontal", "vertical", "product_state"])
+def test_initial_bits_other_than_zero_one_rejected(entry, bad):
+    # int() would read 2 and -1 as 1 and truncate 0.5 to 0
+    n = 3
+    circ = compile_blocks(n, sample_tdoped_blocks(n, 2, 1, np.random.default_rng(75)))
+    obs = PauliString.single(n, 0, 3)
+    bits = [bad, 0, 0]
+    with pytest.raises(ValueError, match="not 0 or 1"):
+        if entry == "horizontal":
+            horizontal_contract(circ, obs, bits, EXACT)
+        elif entry == "vertical":
+            vertical_fold_evolve(circ, obs, bits, EXACT)
+        else:
+            Mps.product_state(bits)
 
 
 def test_horizontal_rejects_length_mismatch():
