@@ -48,7 +48,7 @@ from .harness import (
     run_tdoped,
     twirl_s_channel_check,
 )
-from .mps import Mps, TruncationPolicy, add, add_many, inner
+from .mps import Mps, TruncationPolicy, inner
 from .pauli import OracleCapError, PauliString, pauli_coefficient
 from .temporal import (
     build_folded_site,
@@ -73,8 +73,6 @@ __all__ = [
     "StabMpoLayer",
     "TDopedConfig",
     "TruncationPolicy",
-    "add",
-    "add_many",
     "analytic_magnetization",
     "apply_layer",
     "build_folded_site",

@@ -9,8 +9,8 @@ about a full Pauli string:
 
 where gamma is the (signed) pull-back of the rotation axis through the
 Cliffords accumulated so far and the sign is absorbed into theta_eff.
-Layers are bond-2 diagonal operators, so applying one to an MPS is a
-two-branch linear combination followed by compression.
+Layers are bond-2 diagonal operators, so applying one to an MPS is one
+bond-2 operator application followed by compression.
 """
 
 from __future__ import annotations
@@ -21,8 +21,14 @@ from math import cos, isfinite, pi, sin
 import numpy as np
 
 from .clifford import CliffordCircuit, CliffordTableau
-from .mps import Mps, TruncationPolicy, add
-from .pauli import ORACLE_CAP, PauliString
+from .mps import Mps, TruncationPolicy, cap_mpo, diagonal_mpo
+from .pauli import ORACLE_CAP, SIGMA, PauliString
+
+# _LAYER_SITES[g]: the uncapped bond-2 operator (I on branch 0, sigma^g on
+# branch 1) of a layer site with letter g; shared by every layer
+_LAYER_SITES = tuple(diagonal_mpo((SIGMA[0], SIGMA[g])) for g in range(4))
+for _site in _LAYER_SITES:
+    _site.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -191,7 +197,7 @@ def transform_observable(c: CliffordTableau, p: PauliString) -> PauliString:
 def apply_layer(
     m: Mps, layer: StabMpoLayer, policy: TruncationPolicy
 ) -> tuple[Mps, float]:
-    """Apply one layer to an MPS: compress(phi0 |m> + phi1 P|m>).
+    """Apply one layer to an MPS: phi0 |m> + phi1 P|m>, then compressed.
 
     An identity-string layer is a pure global phase and costs nothing.
     Returns the new state and the discarded relative Schmidt weight.
@@ -203,8 +209,8 @@ def apply_layer(
         out = m.copy()
         out.tensors[0] = out.tensors[0] * phase
         return out, 0.0
-    flipped = m.apply_pauli_string(layer.letters)
-    return add(m, flipped, layer.phi0, layer.phi1, policy)
+    ops = [_LAYER_SITES[layer.gamma.letter(j)] for j in range(m.n)]
+    return m.apply_mpo(cap_mpo(ops, [layer.phi0, layer.phi1], np.ones(2)), policy)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mps import basis_bits
 from .pauli import ORACLE_CAP, SIGMA, OracleCapError, PauliString
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -48,12 +49,12 @@ def rotation_matrix(axis: int, theta: float) -> np.ndarray:
 
 
 def basis_state(bits) -> np.ndarray:
-    """Computational basis vector |b_0 b_1 ... b_{n-1}>."""
-    bits = list(bits)
+    """Computational basis vector |b_0 b_1 ... b_{n-1}>; each bit must be 0 or 1."""
+    bits = basis_bits(bits)
     _check_cap(len(bits))
     idx = 0
     for b in bits:
-        idx = (idx << 1) | int(b)
+        idx = (idx << 1) | b
     vec = np.zeros(2 ** len(bits), dtype=np.complex128)
     vec[idx] = 1.0
     return vec

@@ -329,7 +329,10 @@ def _realization(cfg: TDopedConfig | FloquetConfig, realization: int) -> dict:
 
 def _run_realizations(cfg) -> list[dict]:
     count = cfg.realizations
-    workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
+    raw = os.environ.get(WORKERS_ENV, "1")
+    workers = int(raw) if raw.strip().isdecimal() else 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
     if workers == 1:
         results = [_realization(cfg, r) for r in range(count)]
     else:

@@ -179,24 +179,16 @@ class Mps:
     # ------------------------------------------------------------------
     # local operations
     # ------------------------------------------------------------------
-    def apply_site_matrix(self, mat: np.ndarray, site: int) -> "Mps":
-        """Contract an arbitrary d x d matrix into one site (no checks)."""
-        t = self.tensors[site]
-        new = np.tensordot(mat, t, axes=(1, 1)).transpose(1, 0, 2)
-        tensors = list(self.tensors)
-        tensors[site] = np.ascontiguousarray(new)
-        # a non-unitary site matrix invalidates isometries elsewhere only
-        # if it changes the norm; keep the center conservative
-        center = self.center if _is_unitary(mat) else None
-        return Mps(tensors, self.log_norm, center, self.is_zero)
-
     def apply_1q_gate(self, u: np.ndarray, site: int) -> "Mps":
         u = np.asarray(u, dtype=np.complex128)
         if u.shape != (2, 2):
             raise ValueError("1q gate must be 2x2")
         if not _is_unitary(u):
             raise ValueError("gate is not unitary to 1e-10")
-        return self.apply_site_matrix(u, site)
+        new = np.tensordot(u, self.tensors[site], axes=(1, 1)).transpose(1, 0, 2)
+        tensors = list(self.tensors)
+        tensors[site] = np.ascontiguousarray(new)
+        return Mps(tensors, self.log_norm, self.center, self.is_zero)
 
     def apply_2q_gate(
         self, u: np.ndarray, site: int, policy: TruncationPolicy
@@ -234,19 +226,23 @@ class Mps:
         tensors[site + 1] = (keep[:, None] * vh[:k]).reshape(k, d1, dr)
         return Mps(tensors, work.log_norm, site + 1, work.is_zero), err
 
-    def apply_pauli_string(self, p: PauliString) -> "Mps":
-        """Apply a Pauli string exactly (phase included); bond dims unchanged."""
-        if p.n != self.n:
-            raise ValueError("length mismatch")
-        tensors = list(self.tensors)
-        for j in range(self.n):
-            mu = p.letter(j)
-            if mu:
-                t = np.tensordot(SIGMA[mu], tensors[j], axes=(1, 1))
-                tensors[j] = np.ascontiguousarray(t.transpose(1, 0, 2))
-        if p.phase != 1.0:
-            tensors[0] = tensors[0] * p.phase
-        return Mps(tensors, self.log_norm, self.center, self.is_zero)
+    def apply_mpo(
+        self, ops: list[np.ndarray], policy: TruncationPolicy
+    ) -> tuple["Mps", float]:
+        """Apply a matrix-product operator, then compress.
+
+        ``ops[j]`` is the (left bond, out, in, right bond) tensor of site j,
+        with boundary bonds of size 1.  The merged bonds put the operator
+        bond major.  Returns the compressed state and its discarded weight.
+        """
+        if len(ops) != self.n:
+            raise ValueError("operator length does not match the state")
+        new = []
+        for op, t in zip(ops, self.tensors):
+            merged = np.einsum("loiw,bir->lbowr", op, t)
+            wl, bl, o, wr, br = merged.shape
+            new.append(merged.reshape(wl * bl, o, wr * br))
+        return Mps(new, self.log_norm, None, self.is_zero).compress(policy)
 
     # ------------------------------------------------------------------
     # compression
@@ -370,57 +366,22 @@ def inner(a: Mps, b: Mps) -> complex:
     return complex(e[0, 0] * np.exp(a.log_norm + b.log_norm))
 
 
-def add_many(terms, policy: TruncationPolicy) -> tuple[Mps, float]:
-    """Compressed linear combination sum_i c_i |m_i>.
+def diagonal_mpo(mats) -> np.ndarray:
+    """(k, d, d, k) operator tensor with ``mats[a]`` at bond value a -> a."""
+    k, d = len(mats), mats[0].shape[0]
+    arr = np.zeros((k, d, d, k), dtype=np.complex128)
+    for a, mat in enumerate(mats):
+        arr[a, :, :, a] = mat
+    return arr
 
-    Direct-sum construction (bond dimensions add) followed by a compress
-    sweep.  Relative log_norm scales of the inputs are absorbed into the
-    coefficients; a vanishing result sets the zero-state flag instead of
-    being silently renormalized.
+
+def cap_mpo(ops, left, right) -> list[np.ndarray]:
+    """Close an operator chain: ``left`` into the first bond, ``right`` into the last.
+
+    With one site both caps land on the same tensor.  List entries are
+    replaced, never written into, so shared operator tables stay intact.
     """
-    terms = [(complex(c), m) for c, m in terms]
-    if not terms:
-        raise ValueError("empty sum")
-    first = terms[0][1]
-    n = first.n
-    dims = first.phys_dims
-    for _, m in terms[1:]:
-        if m.phys_dims != dims:
-            raise ValueError("length mismatch in MPS sum")
-
-    ref = max(m.log_norm for _, m in terms)
-    coeffs = [c * np.exp(m.log_norm - ref) for c, m in terms]
-    states = [m for _, m in terms]
-
-    if n == 1:
-        tot = sum(
-            c * m.tensors[0] for c, m in zip(coeffs, states)
-        )
-        return Mps([tot], ref).compress(policy)
-
-    tensors: list[np.ndarray] = []
-    for j in range(n):
-        blocks = [m.tensors[j] for m in states]
-        if j == 0:
-            row = [c * blk for c, blk in zip(coeffs, blocks)]
-            tensors.append(np.concatenate(row, axis=2))
-        elif j == n - 1:
-            tensors.append(np.concatenate(blocks, axis=0))
-        else:
-            dl = sum(b.shape[0] for b in blocks)
-            dr = sum(b.shape[2] for b in blocks)
-            t = np.zeros((dl, dims[j], dr), dtype=np.complex128)
-            lo = ro = 0
-            for b in blocks:
-                t[lo : lo + b.shape[0], :, ro : ro + b.shape[2]] = b
-                lo += b.shape[0]
-                ro += b.shape[2]
-            tensors.append(t)
-    return Mps(tensors, ref).compress(policy)
-
-
-def add(
-    a: Mps, b: Mps, ca: complex, cb: complex, policy: TruncationPolicy
-) -> tuple[Mps, float]:
-    """Compressed two-term combination ca|a> + cb|b>."""
-    return add_many([(ca, a), (cb, b)], policy)
+    ops = list(ops)
+    ops[0] = np.tensordot(left, ops[0], axes=(0, 0))[None, ...]
+    ops[-1] = np.tensordot(ops[-1], right, axes=(3, 0))[..., None]
+    return ops

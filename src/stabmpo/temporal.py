@@ -17,7 +17,7 @@ from math import ceil
 import numpy as np
 
 from .circuit import StabMpoCircuit, transform_observable
-from .mps import Mps, TruncationPolicy, add_many, basis_bits, inner
+from .mps import Mps, TruncationPolicy, basis_bits, cap_mpo, diagonal_mpo, inner
 from .pauli import PauliString
 
 
@@ -53,11 +53,17 @@ def _coefficient_free_blocks(g: int) -> list[np.ndarray]:
 
 
 # FOLDED_BLOCKS[g, a, mu, nu]: the one source of the coefficient-free folded
-# blocks, read by the site tensor, the vertical fold and the column builder
+# blocks, read by the site tensor and the row and column operators
 FOLDED_BLOCKS = np.array(
     [_coefficient_free_blocks(g) for g in range(4)], dtype=np.complex128
 )
 FOLDED_BLOCKS.setflags(write=False)
+
+# _FOLDED_ROWS[g]: the uncapped (a, mu, nu, a) row operator of letter g, with
+# FOLDED_BLOCKS[g, a] on the diagonal of the folded auxiliary bond
+_FOLDED_ROWS = tuple(diagonal_mpo(FOLDED_BLOCKS[g]) for g in range(4))
+for _row in _FOLDED_ROWS:
+    _row.setflags(write=False)  # shared by every layer of every contraction
 
 
 # ----------------------------------------------------------------------
@@ -121,9 +127,10 @@ def vertical_fold_evolve(
 ) -> FoldedEvolveResult:
     """Transfer-basis evolution of |bits><bits| through all layers.
 
-    Each layer acts as four coefficient-weighted product operators on the
-    dim-4 coefficient train; pairing the result with the pulled-back
-    observable components reproduces the layer-evolved expectation.
+    Each layer acts on the dim-4 coefficient train as one bond-4 diagonal
+    operator, capped by its folded coefficients; pairing the result with
+    the pulled-back observable components reproduces the layer-evolved
+    expectation.
     """
     bits = basis_bits(bits)
     if len(bits) != circuit.n:
@@ -134,16 +141,9 @@ def vertical_fold_evolve(
     for layer in circuit.layers:
         if layer.is_identity_string:
             continue  # the four branches sum to exactly |phi0 + phi1|^2 = 1
+        rows = [_FOLDED_ROWS[layer.gamma.letter(j)] for j in range(circuit.n)]
         coeffs = folded_coefficients(layer.phi0, layer.phi1)
-        gamma = layer.gamma
-        branches = [y]
-        for a in (1, 2, 3):
-            branch = y
-            for j in gamma.support:
-                block = FOLDED_BLOCKS[gamma.letter(j), a]
-                branch = branch.apply_site_matrix(block, j)
-            branches.append(branch)
-        y, err = add_many(list(zip(coeffs, branches)), policy)
+        y, err = y.apply_mpo(cap_mpo(rows, coeffs, np.ones(4)), policy)
         res.layer_truncation.append(err)
         res.max_bond = max(res.max_bond, y.max_bond)
         if y.is_zero:
@@ -162,55 +162,21 @@ def vertical_fold_evolve(
 # ----------------------------------------------------------------------
 # horizontal contraction: auxiliary-row chain swept over columns
 # ----------------------------------------------------------------------
-def _aux_diagonal(mats) -> np.ndarray:
-    """Put per-branch wire matrices on the auxiliary diagonal.
-
-    Returns the (w_in, a', a, w_out) tensor with mats[a] acting on the wire
-    of branch a' = a.
-    """
-    dim = mats[0].shape[0]
-    arr = np.zeros((dim, len(mats), len(mats), dim), dtype=np.complex128)
-    for a, mat in enumerate(mats):
-        arr[:, a, a, :] = mat.T
-    return arr
-
-
-# (w_in, a', a, w_out) column tensor of each layer letter, uncapped
-_FOLDED_COLUMNS = tuple(_aux_diagonal(FOLDED_BLOCKS[g]) for g in range(4))
-for _column in _FOLDED_COLUMNS:
-    _column.setflags(write=False)  # shared by every column of every sweep
+# (w_in, a', a, w_out) column tensor of each layer letter, uncapped: the row
+# operator with the roles of bond and physical index swapped
+_FOLDED_COLUMNS = tuple(row.transpose(2, 0, 3, 1) for row in _FOLDED_ROWS)
 
 
 def _folded_column(circuit: StabMpoCircuit, nu: PauliString, site: int, bit: int):
     """Column transfer tensors over the folded auxiliary chain.
 
-    The wire is the dim-4 Pauli index threaded bottom cap -> rows -> top cap.
-    The bottom cap is contracted into the first tensor, then the top cap
-    into the last (the same tensor when there is one row).  List entries
-    are replaced, never written into, so the shared column tensors stay
-    intact.
+    The wire is the dim-4 Pauli index threaded bottom cap -> rows -> top
+    cap; it is the operator bond of the column.
     """
     top = np.zeros(4, dtype=np.complex128)
     top[nu.letter(site)] = 2.0
     tensors = [_FOLDED_COLUMNS[layer.gamma.letter(site)] for layer in circuit.layers]
-    bottom = computational_pauli_vector(bit)
-    tensors[0] = np.tensordot(bottom, tensors[0], axes=(0, 0))[None, ...]  # (1,a',a,w)
-    last = tensors[-1]
-    tensors[-1] = np.tensordot(last, top, axes=(last.ndim - 1, 0))[..., None]
-    return tensors
-
-
-def _apply_column(chain: Mps, tensors, policy: TruncationPolicy) -> tuple[Mps, float]:
-    """Apply a column of (w_in, a_out, a_in, w_out) tensors to the chain."""
-    new = []
-    for op, t in zip(tensors, chain.tensors):
-        # (l,o,i,w),(b,i,r) -> (l,b,o,w,r), wire index major in merged bonds
-        merged = np.einsum("loiw,bir->lbowr", op, t)
-        wl, bl, o, wr, br = merged.shape
-        new.append(merged.reshape(wl * bl, o, wr * br))
-    scaled = Mps(new, chain.log_norm, None, chain.is_zero)
-    work_policy = TruncationPolicy(policy.chi_max, policy.svd_cutoff, renormalize=True)
-    return scaled.compress(work_policy)
+    return cap_mpo(tensors, computational_pauli_vector(bit), top)
 
 
 @dataclass
@@ -253,6 +219,7 @@ def horizontal_contract(
                 break
         return HorizontalResult(sign * value, np.zeros(circuit.n))
 
+    work = TruncationPolicy(policy.chi_max, policy.svd_cutoff, renormalize=True)
     chain = Mps.from_site_vectors(
         np.array(folded_coefficients(l.phi0, l.phi1), dtype=np.complex128)
         for l in circuit.layers
@@ -263,7 +230,7 @@ def horizontal_contract(
 
     for j in range(circuit.n):
         tensors = _folded_column(circuit, nu, j, bits[j])
-        chain, err = _apply_column(chain, tensors, policy)
+        chain, err = chain.apply_mpo(tensors, work)
         res.column_truncation.append(err)
         res.max_bond = max(res.max_bond, chain.max_bond)
         if chain.is_zero:

@@ -254,6 +254,15 @@ def test_worker_pool_matches_serial(tmp_path, monkeypatch):
     assert serial.rows == parallel.rows
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+def test_worker_count_must_be_positive_integer(tmp_path, monkeypatch, value):
+    cfg = FloquetConfig(n=2, epsilon=0.2, periods=1, chi=4, realizations=1, seed=17)
+    monkeypatch.setenv("STABMPO_WORKERS", value)
+    with pytest.raises(ValueError, match="STABMPO_WORKERS"):
+        run_floquet(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 # ----------------------------------------------------------------------
 # config files
 # ----------------------------------------------------------------------

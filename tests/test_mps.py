@@ -12,8 +12,8 @@ from conftest import (
     random_unitary,
 )
 from stabmpo.dense import GATE_1Q, GATE_2Q, apply_pauli, basis_state
-from stabmpo.mps import Mps, TruncationPolicy, add, add_many, inner
-from stabmpo.pauli import PauliString
+from stabmpo.mps import Mps, TruncationPolicy, cap_mpo, diagonal_mpo, inner
+from stabmpo.pauli import SIGMA, PauliString
 
 EXACT8 = TruncationPolicy(chi_max=2**8)
 
@@ -64,7 +64,6 @@ def test_1q_gate_rejects_non_unitary():
     m = Mps.product_state([0])
     with pytest.raises(ValueError):
         m.apply_1q_gate(np.array([[1.0, 0.0], [0.0, 2.0]]), 0)
-    m.apply_site_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]), 0)
 
 
 def test_1q_gate_matches_dense():
@@ -116,35 +115,70 @@ def test_random_circuit_exact_regime_matches_dense():
     assert np.max(np.abs(m.to_dense() - vec)) < 1e-8
 
 
-def test_apply_pauli_string_examples():
+def two_branch(m: Mps, ca: complex, cb: complex, letters) -> tuple[Mps, float]:
+    """ca |m> + cb P|m> as one capped bond-2 operator; P has the given letters."""
+    ops = [diagonal_mpo((SIGMA[0], SIGMA[g])) for g in letters]
+    return m.apply_mpo(cap_mpo(ops, [ca, cb], np.ones(2)), EXACT8)
+
+
+def mpo_to_dense(ops) -> np.ndarray:
+    """Dense matrix of an operator chain (site 0 most significant)."""
+    full = np.ones((1, 1, 1), dtype=np.complex128)  # (out, in, bond)
+    for op in ops:
+        full = np.einsum("abl,loiw->aobiw", full, op)
+        a, o, b, i, w = full.shape
+        full = full.reshape(a * o, b * i, w)
+    return full[:, :, 0]
+
+
+def random_mpo(rng, bonds) -> list[np.ndarray]:
+    shapes = [(bl, 2, 2, br) for bl, br in zip(bonds, bonds[1:])]
+    return [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+
+
+# ----------------------------------------------------------------------
+# apply_mpo / compress
+# ----------------------------------------------------------------------
+def test_apply_mpo_matches_dense_operator():
+    rng = np.random.default_rng(37)
+    policy = TruncationPolicy(chi_max=2**5, svd_cutoff=0.0)
+    for _ in range(10):
+        m = random_mps(rng, 5)
+        bonds = [1] + [int(b) for b in rng.integers(1, 4, size=4)] + [1]
+        ops = random_mpo(rng, bonds)
+        out, err = m.apply_mpo(ops, policy)
+        want = mpo_to_dense(ops) @ m.to_dense()
+        assert err == 0.0
+        assert np.linalg.norm(out.to_dense() - want) < 1e-12 * np.linalg.norm(want)
+
+
+def test_apply_mpo_diagonal_bond4_matches_dense_sum():
+    rng = np.random.default_rng(47)
     n = 5
-    m = Mps.product_state([0] * n)
-    flipped = m.apply_pauli_string(PauliString.from_literal("X" * n))
-    assert np.allclose(flipped.to_dense(), basis_state([1] * n))
-    rng = np.random.default_rng(34)
-    state = random_mps(rng, 4)
-    p = random_pauli(rng, 4)
-    twice = state.apply_pauli_string(p).apply_pauli_string(p)
-    assert np.max(np.abs(twice.to_dense() - state.to_dense())) < 1e-12
+    m = random_mps(rng, n)
+    mats = [[random_unitary(rng, 2) for _ in range(4)] for _ in range(n)]
+    coeffs = [complex(rng.normal(), rng.normal()) for _ in range(4)]
+    ops = cap_mpo([diagonal_mpo(site) for site in mats], coeffs, np.ones(4))
+    out, _ = m.apply_mpo(ops, TruncationPolicy(chi_max=2**5))
+    want = np.zeros(2**n, dtype=np.complex128)
+    for a, c in enumerate(coeffs):
+        product = np.ones((1, 1))
+        for site in mats:
+            product = np.kron(product, site[a])
+        want += c * (product @ m.to_dense())
+    assert np.max(np.abs(out.to_dense() - want)) < 1e-10
 
 
-def test_apply_pauli_matches_dense_and_keeps_bonds():
-    rng = np.random.default_rng(35)
-    m = random_mps(rng, 6)
-    p = random_pauli(rng, 6)
-    out = m.apply_pauli_string(p)
-    assert out.bond_dims == m.bond_dims
-    assert np.max(np.abs(out.to_dense() - apply_pauli(m.to_dense(), p, 6))) < 1e-10
+def test_apply_mpo_rejects_length_mismatch():
+    m = Mps.product_state([0, 0, 0])
+    ops = random_mpo(np.random.default_rng(48), [1, 2, 1])
+    with pytest.raises(ValueError, match="operator length"):
+        m.apply_mpo(ops, EXACT8)
 
 
-# ----------------------------------------------------------------------
-# add / compress
-# ----------------------------------------------------------------------
 def test_add_bell_state():
-    a = Mps.product_state([0, 0])
-    b = Mps.product_state([1, 1])
     c = 1 / np.sqrt(2)
-    out, err = add(a, b, c, c, EXACT8)
+    out, err = two_branch(Mps.product_state([0, 0]), c, c, [1, 1])
     assert err == pytest.approx(0.0, abs=1e-14)
     assert out.entanglement_entropy(1) == pytest.approx(1.0)
 
@@ -152,22 +186,9 @@ def test_add_bell_state():
 def test_add_cancellation_flags_zero():
     rng = np.random.default_rng(36)
     a = random_mps(rng, 4)
-    out, _ = add(a, a, 1.0, -1.0, EXACT8)
+    out, _ = two_branch(a, 1.0, -1.0, [0] * 4)
     assert out.is_zero
     assert out.raw_norm() < 1e-12  # not silently renormalized
-
-
-def test_add_matches_dense_linearity():
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        a = random_mps(rng, 6)
-        b = random_mps(rng, 6)
-        ca = complex(rng.normal(), rng.normal())
-        cb = complex(rng.normal(), rng.normal())
-        out, _ = add(a, b, ca, cb, TruncationPolicy(chi_max=2**6))
-        t = random_mps(rng, 6)
-        want = ca * inner(t, a) + cb * inner(t, b)
-        assert abs(inner(t, out) - want) < 1e-10
 
 
 def test_compress_product_state_noop():
@@ -178,9 +199,8 @@ def test_compress_product_state_noop():
 
 
 def test_compress_bell_to_chi1_discards_half():
-    a = Mps.product_state([0, 0])
-    b = Mps.product_state([1, 1])
-    bell, _ = add(a, b, 1 / np.sqrt(2), 1 / np.sqrt(2), EXACT8)
+    c = 1 / np.sqrt(2)
+    bell, _ = two_branch(Mps.product_state([0, 0]), c, c, [1, 1])
     out, err = bell.compress(TruncationPolicy(chi_max=1))
     assert err == pytest.approx(0.5)
     assert out.max_bond == 1
@@ -221,9 +241,8 @@ def test_compress_renormalize_tracks_log_norm():
 # ----------------------------------------------------------------------
 def test_entropy_ghz():
     n = 6
-    a = Mps.product_state([0] * n)
-    b = Mps.product_state([1] * n)
-    ghz, _ = add(a, b, 1 / np.sqrt(2), 1 / np.sqrt(2), EXACT8)
+    c = 1 / np.sqrt(2)
+    ghz, _ = two_branch(Mps.product_state([0] * n), c, c, [1] * n)
     for cut in range(1, n):
         assert ghz.entanglement_entropy(cut) == pytest.approx(1.0)
 
@@ -319,12 +338,3 @@ def test_policy_validation():
         TruncationPolicy(chi_max=0)
     with pytest.raises(ValueError):
         TruncationPolicy(chi_max=2, svd_cutoff=1.5)
-
-
-def test_add_many_four_branches():
-    rng = np.random.default_rng(47)
-    states = [random_mps(rng, 5) for _ in range(4)]
-    coeffs = [complex(rng.normal(), rng.normal()) for _ in range(4)]
-    out, _ = add_many(list(zip(coeffs, states)), TruncationPolicy(chi_max=2**5))
-    want = sum(c * s.to_dense() for c, s in zip(coeffs, states))
-    assert np.max(np.abs(out.to_dense() - want)) < 1e-10

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from stabmpo.circuit import (
+    RotationGate,
     StabMpoCircuit,
     StabMpoLayer,
     compile_blocks,
     expectation,
+    t_gate,
 )
-from stabmpo.clifford import CliffordTableau
-from stabmpo.harness import realization_rng, sample_tdoped_blocks
+from stabmpo.clifford import CliffordCircuit, CliffordTableau, Gate
+from stabmpo.harness import dense_oracle_run, realization_rng, sample_tdoped_blocks
 from stabmpo.mps import Mps, TruncationPolicy
 from stabmpo.pauli import SIGMA, PauliString, pauli_coefficient
 from stabmpo.temporal import (
@@ -252,11 +254,12 @@ def test_horizontal_pi_layer_with_x_observable_collapses_chain():
 
 
 @pytest.mark.parametrize("bad", [2, -1, 0.5])
-@pytest.mark.parametrize("entry", ["horizontal", "vertical", "product_state"])
+@pytest.mark.parametrize("entry", ["horizontal", "vertical", "product_state", "dense"])
 def test_initial_bits_other_than_zero_one_rejected(entry, bad):
     # int() would read 2 and -1 as 1 and truncate 0.5 to 0
     n = 3
-    circ = compile_blocks(n, sample_tdoped_blocks(n, 2, 1, np.random.default_rng(75)))
+    blocks = sample_tdoped_blocks(n, 2, 1, np.random.default_rng(75))
+    circ = compile_blocks(n, blocks)
     obs = PauliString.single(n, 0, 3)
     bits = [bad, 0, 0]
     with pytest.raises(ValueError, match="not 0 or 1"):
@@ -264,8 +267,33 @@ def test_initial_bits_other_than_zero_one_rejected(entry, bad):
             horizontal_contract(circ, obs, bits, EXACT)
         elif entry == "vertical":
             vertical_fold_evolve(circ, obs, bits, EXACT)
+        elif entry == "dense":
+            dense_oracle_run(n, blocks, bits, obs)
         else:
             Mps.product_state(bits)
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_single_qubit_three_ways_match_dense(bit):
+    h = CliffordCircuit(1, (Gate("H", (0,)),))
+    s = CliffordCircuit(1, (Gate("S", (0,)),))
+    blocks = [
+        (None, RotationGate(0, 1, 0.7)),
+        (None, RotationGate(0, 3, -1.1)),
+        (s, RotationGate(0, 1, 0.4)),
+        (h, t_gate(0)),
+    ]
+    compiled = compile_blocks(1, blocks)
+    assert {layer.gamma.letter(0) for layer in compiled.layers} == {1, 2, 3}
+    for mu in (1, 2, 3):
+        obs = PauliString.single(1, 0, mu)
+        ref = dense_oracle_run(1, blocks, [bit], obs)
+        layered = expectation(Mps.product_state([bit]), compiled, obs, EXACT)
+        assert layered.value == pytest.approx(ref, abs=1e-12)
+        vert = vertical_fold_evolve(compiled, obs, [bit], EXACT)
+        assert vert.value == pytest.approx(ref, abs=1e-12)
+        horiz = horizontal_contract(compiled, obs, [bit], EXACT)
+        assert horiz.value == pytest.approx(ref, abs=1e-12)
 
 
 def test_horizontal_rejects_length_mismatch():
