@@ -20,7 +20,7 @@ from math import cos, isfinite, pi, sin
 
 import numpy as np
 
-from .clifford import CliffordCircuit, CliffordTableau
+from .clifford import CliffordCircuit, CliffordTableau, append_to_inverse
 from .mps import Mps, TruncationPolicy, cap_mpo, diagonal_mpo
 from .pauli import ORACLE_CAP, SIGMA, PauliString
 
@@ -155,12 +155,26 @@ def conjugate_rotation(accumulated: CliffordTableau, r: RotationGate) -> StabMpo
 
 
 class StabMpoCompiler:
-    """Incremental compiler for alternating Clifford / rotation sequences."""
+    """Incremental compiler for alternating Clifford / rotation sequences.
+
+    It keeps the packed tableau rows of C^dag, the inverse of the Clifford
+    accumulated so far: a gate rewrites only the rows of its own qubits,
+    and pulling back a single-site rotation axis reads one or two rows.
+    """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.tableau = CliffordTableau.identity(n)
+        self._inverse_rows = CliffordTableau.identity(n).packed()
+        self._tableau: CliffordTableau | None = None
         self.layers: list[StabMpoLayer] = []
+
+    @property
+    def tableau(self) -> CliffordTableau:
+        """Tableau of the accumulated Clifford; its forward images are built on first read."""
+        if self._tableau is None:
+            inverse = CliffordTableau.from_packed(self.n, self._inverse_rows)
+            self._tableau = CliffordTableau.from_inverse(inverse)
+        return self._tableau
 
     def push_clifford(self, circ: CliffordCircuit | None) -> None:
         if circ is None:
@@ -168,7 +182,8 @@ class StabMpoCompiler:
         if circ.n != self.n:
             raise ValueError("qubit count mismatch")
         if circ.gates:
-            self.tableau = self.tableau.apply_circuit(circ)
+            append_to_inverse(self._inverse_rows, circ)
+            self._tableau = None
 
     def push_rotation(self, r: RotationGate) -> StabMpoLayer:
         layer = conjugate_rotation(self.tableau, r)

@@ -3,7 +3,11 @@
 The tableau stores the images of the 2N generators X_j, Z_j under forward
 conjugation P -> C P C^dag, with exact signs.  Gate updates act directly on
 the packed (x, z, phase) representation; conjugation of arbitrary strings
-multiplies generator images with the exact Pauli group law.  The module
+multiplies generator images with the exact Pauli group law.  An incremental
+compiler keeps the packed rows of C^dag instead, as Stim's TableauSimulator
+does (Gidney, Quantum 5, 497 (2021)): appending a gate to C rewrites only
+the rows of its qubits (``append_to_inverse``), and the forward images are
+built from them only when read (``CliffordTableau.from_inverse``).  The module
 also provides the circuit container, its line-oriented serialization, and
 the two samplers used by the experiment drivers: brick-wall layers of
 uniformly random two-qubit Cliffords (drawn by index from an exhaustive
@@ -172,10 +176,83 @@ def _conjugate_bits(x: int, z: int, phase: int, g: Gate) -> tuple[int, int, int]
     return x, z, phase
 
 
-class CliffordTableau:
-    """Forward-conjugation images of X_j and Z_j; immutable by convention."""
+def _image_bits(
+    rows: list[tuple[int, int, int]], n: int, x: int, z: int, phase: int
+) -> tuple[int, int, int]:
+    """Image of the packed string under the tableau whose packed rows are given.
 
-    __slots__ = ("n", "x_images", "z_images", "_inv")
+    rows[j] is the image of X_j and rows[n + j] that of Z_j; only the rows
+    of the string's set bits are multiplied, with the exact group law.
+    """
+    ox = oz = 0
+    bits = x | z
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        j = low.bit_length() - 1
+        if x & low:
+            rx, rz, rph = rows[j]
+            phase += rph + 2 * (oz & rx).bit_count()
+            ox ^= rx
+            oz ^= rz
+        if z & low:
+            rx, rz, rph = rows[n + j]
+            phase += rph + 2 * (oz & rx).bit_count()
+            ox ^= rx
+            oz ^= rz
+    return ox, oz, phase % 4
+
+
+def _prepend_bits(rows: list[tuple[int, int, int]], n: int, g: Gate) -> None:
+    """Rewrite the packed rows of a tableau T in place to those of T o g.
+
+    g acts first, so the row of a generator G becomes T(g G g^dag); only
+    the rows X_q and Z_q of g's qubits change.  Every new row is computed
+    from the old rows before any of them is written back.
+    """
+    new = []
+    for q in g.qubits:
+        m = 1 << q
+        for k, (x, z) in ((q, (m, 0)), (n + q, (0, m))):
+            new.append((k, _image_bits(rows, n, *_conjugate_bits(x, z, 0, g))))
+    for k, row in new:
+        rows[k] = row
+
+
+def append_to_inverse(rows: list[tuple[int, int, int]], circ: CliffordCircuit) -> None:
+    """Update the packed rows of C^dag in place to those of (circ C)^dag.
+
+    Appending g to C prepends g^dag to C^dag, since (g C)^dag P (g C) =
+    C^dag (g^dag P g) C; gates are taken in circuit order.
+    """
+    n = circ.n
+    if len(rows) != 2 * n:
+        raise ValueError("qubit count mismatch")
+    for g in circ.gates:
+        if g.name in _INVERSE_NAME:
+            g = Gate(_INVERSE_NAME[g.name], g.qubits)
+        _prepend_bits(rows, n, g)
+
+
+def _transpose_bits(vals: list[int], n: int) -> list[int]:
+    """Bit-matrix transpose: bit j of out[k] is bit k of vals[j]."""
+    out = [0] * n
+    for j, v in enumerate(vals):
+        while v:
+            low = v & -v
+            v ^= low
+            out[low.bit_length() - 1] |= 1 << j
+    return out
+
+
+class CliffordTableau:
+    """Forward-conjugation images of X_j and Z_j; immutable by convention.
+
+    A tableau made by ``from_inverse`` holds only its inverse and builds its
+    own images on their first read.
+    """
+
+    __slots__ = ("n", "_x", "_z", "_inv")
 
     def __init__(
         self,
@@ -184,10 +261,10 @@ class CliffordTableau:
         z_images: Iterable[PauliString],
     ) -> None:
         self.n = n
-        self.x_images = tuple(x_images)
-        self.z_images = tuple(z_images)
+        self._x: tuple[PauliString, ...] | None = tuple(x_images)
+        self._z: tuple[PauliString, ...] | None = tuple(z_images)
         self._inv: "CliffordTableau | None" = None
-        if len(self.x_images) != n or len(self.z_images) != n:
+        if len(self._x) != n or len(self._z) != n:
             raise ValueError("tableau needs n X-images and n Z-images")
 
     @classmethod
@@ -200,8 +277,40 @@ class CliffordTableau:
     def from_circuit(cls, circ: CliffordCircuit) -> "CliffordTableau":
         return cls.identity(circ.n).apply_circuit(circ)
 
+    @classmethod
+    def from_packed(cls, n: int, rows: list[tuple[int, int, int]]) -> "CliffordTableau":
+        """Tableau with the packed ``(x, z, phase)`` rows X_0.., Z_0.. as images."""
+        imgs = [PauliString(n, x, z, ph) for (x, z, ph) in rows]
+        return cls(n, imgs[:n], imgs[n:])
+
+    @classmethod
+    def from_inverse(cls, inv: "CliffordTableau") -> "CliffordTableau":
+        """Tableau of C given that of C^dag.
+
+        Inverse conjugation and ``inverse()`` read ``inv`` directly; the
+        forward images are built from it on their first read and cached.
+        """
+        tab = cls.__new__(cls)
+        tab.n = inv.n
+        tab._x = tab._z = None
+        tab._inv = inv
+        return tab
+
+    @property
+    def x_images(self) -> tuple[PauliString, ...]:
+        if self._x is None:
+            self._x, self._z = self._inv._inverse_images()
+        return self._x
+
+    @property
+    def z_images(self) -> tuple[PauliString, ...]:
+        if self._z is None:
+            self._x, self._z = self._inv._inverse_images()
+        return self._z
+
     # ------------------------------------------------------------------
-    def _images_packed(self) -> list[tuple[int, int, int]]:
+    def packed(self) -> list[tuple[int, int, int]]:
+        """Packed ``(x, z, phase)`` images of X_0.., Z_0.., in that order."""
         return [(p.x, p.z, p.phase_exp) for p in self.x_images + self.z_images]
 
     def apply_gate(self, g: Gate) -> "CliffordTableau":
@@ -211,15 +320,18 @@ class CliffordTableau:
     def apply_circuit(self, circ: CliffordCircuit) -> "CliffordTableau":
         if circ.n != self.n:
             raise ValueError("qubit count mismatch")
-        packed = self._images_packed()
+        packed = self.packed()
         for g in circ.gates:
             packed = [_conjugate_bits(x, z, ph, g) for (x, z, ph) in packed]
-        imgs = [PauliString(self.n, x, z, ph) for (x, z, ph) in packed]
-        return CliffordTableau(self.n, imgs[: self.n], imgs[self.n :])
+        return CliffordTableau.from_packed(self.n, packed)
 
     # ------------------------------------------------------------------
     def conjugate(self, p: PauliString, direction: str = "forward") -> PauliString:
-        """Return C P C^dag (forward) or C^dag P C (inverse), sign exact."""
+        """Return C P C^dag (forward) or C^dag P C (inverse), sign exact.
+
+        Only the images of the string's support are multiplied, so a
+        single-site string costs one image (two for Y).
+        """
         if p.n != self.n:
             raise ValueError("length mismatch")
         if direction == "inverse":
@@ -227,35 +339,42 @@ class CliffordTableau:
         if direction != "forward":
             raise ValueError(f"unknown direction {direction!r}")
         out = PauliString(self.n, 0, 0, p.phase_exp)
-        for j in range(self.n):
-            if (p.x >> j) & 1:
+        bits = p.x | p.z
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            j = low.bit_length() - 1
+            if p.x & low:
                 out = out.mul(self.x_images[j])
-            if (p.z >> j) & 1:
+            if p.z & low:
                 out = out.mul(self.z_images[j])
         return out
 
     def inverse(self) -> "CliffordTableau":
-        """Tableau of C^dag; cached.  Bit part inverts via the symplectic form."""
-        if self._inv is not None:
-            return self._inv
-        n = self.n
-        m = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        for i, img in enumerate(self.x_images + self.z_images):
-            for j in range(n):
-                m[i, j] = (img.x >> j) & 1
-                m[i, n + j] = (img.z >> j) & 1
-        lam = np.zeros_like(m)
-        lam[:n, n:] = np.eye(n, dtype=np.int64)
-        lam[n:, :n] = np.eye(n, dtype=np.int64)
-        minv = (lam @ m.T @ lam) % 2
+        """Tableau of C^dag; cached."""
+        if self._inv is None:
+            inv = CliffordTableau(self.n, *self._inverse_images())
+            inv._inv = self
+            self._inv = inv
+        return self._inv
 
-        xs: list[PauliString] = []
-        zs: list[PauliString] = []
-        for k in range(2 * n):
-            x = z = 0
-            for j in range(n):
-                x |= int(minv[k, j]) << j
-                z |= int(minv[k, n + j]) << j
+    def _inverse_images(self) -> tuple[tuple[PauliString, ...], tuple[PauliString, ...]]:
+        """Images of X_k and Z_k under C^dag . C.
+
+        The bit part is the symplectic inverse Lambda M^T Lambda of the
+        image matrix M: C^dag X_k C has x bit j where the image of Z_j has z
+        bit k, and z bit j where the image of X_j has z bit k; for Z_k read
+        the x bits instead.  The sign makes the forward image +X_k or +Z_k.
+        """
+        n = self.n
+        xs, zs = self.x_images, self.z_images
+        xx = _transpose_bits([p.x for p in xs], n)
+        xz = _transpose_bits([p.z for p in xs], n)
+        zx = _transpose_bits([p.x for p in zs], n)
+        zz = _transpose_bits([p.z for p in zs], n)
+        bits = [(zz[k], xz[k]) for k in range(n)] + [(zx[k], xx[k]) for k in range(n)]
+        out: list[PauliString] = []
+        for k, (x, z) in enumerate(bits):
             cand = PauliString(n, x, z, (x & z).bit_count())
             forward = self.conjugate(cand, "forward")
             gen = (
@@ -265,13 +384,8 @@ class CliffordTableau:
             )
             if (forward.x, forward.z) != (gen.x, gen.z):
                 raise ValueError("tableau is not symplectic")
-            if forward.sign < 0:
-                cand = cand.negate()
-            (xs if k < n else zs).append(cand)
-        inv = CliffordTableau(n, xs, zs)
-        inv._inv = self
-        self._inv = inv
-        return inv
+            out.append(cand.negate() if forward.sign < 0 else cand)
+        return tuple(out[:n]), tuple(out[n:])
 
     # ------------------------------------------------------------------
     def key(self) -> tuple:
@@ -350,7 +464,7 @@ def two_qubit_clifford_sequences() -> tuple[tuple[Gate, ...], ...]:
         Gate("S", (1,)),
         Gate("CNOT", (0, 1)),
     )
-    start = tuple(CliffordTableau.identity(2)._images_packed())
+    start = tuple(CliffordTableau.identity(2).packed())
     seen = {start}
     order: list[tuple[Gate, ...]] = [()]
     queue: deque[tuple[tuple, tuple[Gate, ...]]] = deque([(start, ())])

@@ -117,8 +117,9 @@ def run_blocks(blocks, bits) -> np.ndarray:
     Each block applies its Clifford circuit first and then the rotation,
     exactly mirroring the compiled evolution order.
     """
+    bits = basis_bits(bits)
     state = basis_state(bits)
-    n = len(tuple(bits))
+    n = len(bits)
     for circ, rot in blocks:
         if circ is not None:
             if circ.n != n:

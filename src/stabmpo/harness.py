@@ -38,7 +38,7 @@ from .clifford import (
 )
 from .dense import GATE_1Q, GATE_2Q, rotation_matrix, run_blocks
 from .dense import expectation as dense_expectation
-from .mps import Mps, TruncationPolicy
+from .mps import Mps, TruncationPolicy, basis_bits
 from .pauli import PauliString
 from .temporal import horizontal_contract, write_temporal_csv
 
@@ -253,8 +253,11 @@ def dense_oracle_run(n: int, blocks, bits, observable: PauliString | None = None
     """Full statevector run of a sampled block sequence (oracle-capped).
 
     Returns the final vector, or the real observable expectation when one
-    is given.
+    is given.  ``bits`` must hold one initial bit per qubit.
     """
+    bits = basis_bits(bits)
+    if len(bits) != n:
+        raise ValueError(f"{len(bits)} initial bits given for n={n} qubits")
     state = run_blocks(blocks, bits)
     if observable is None:
         return state

@@ -1,5 +1,6 @@
 """Compilation into Pauli-rotation layers, checked against dense products."""
 
+import hashlib
 from math import cos, pi, sin
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import random_clifford_circuit, random_mps
 from stabmpo.circuit import (
     RotationGate,
     StabMpoCircuit,
+    StabMpoCompiler,
     StabMpoLayer,
     apply_layer,
     compile_blocks,
@@ -17,7 +19,7 @@ from stabmpo.circuit import (
     t_gate,
     transform_observable,
 )
-from stabmpo.clifford import CliffordCircuit, CliffordTableau, Gate
+from stabmpo.clifford import GATE_ARITY, CliffordCircuit, CliffordTableau, Gate
 from stabmpo.dense import (
     GATE_1Q,
     apply_circuit,
@@ -26,7 +28,7 @@ from stabmpo.dense import (
     circuit_unitary,
     rotation_matrix,
 )
-from stabmpo.harness import dense_oracle_run, sample_tdoped_blocks
+from stabmpo.harness import dense_oracle_run, realization_rng, sample_tdoped_blocks
 from stabmpo.mps import Mps, TruncationPolicy, inner
 from stabmpo.pauli import PauliString
 
@@ -139,6 +141,55 @@ def test_compile_matches_dense_product():
         u_ref = dense_of_blocks(n, blocks)
         u_got = dense_of_compiled(compiled, full_clifford)
         assert np.max(np.abs(u_got - u_ref)) < 1e-10
+
+
+def test_compiler_matches_forward_tableau_for_every_gate_type():
+    """The inverse-tableau compiler against the forward tableau of its prefix.
+
+    Blocks come from random circuits over every gate type, non-adjacent
+    pairs included, followed by X, Y or Z rotations at random angles.
+    """
+    rng = np.random.default_rng(53)
+    names: set[str] = set()
+    axes: set[int] = set()
+    distant_pairs = 0
+    for n in range(2, 9):
+        for _ in range(3):
+            comp = StabMpoCompiler(n)
+            prefix = CliffordCircuit(n)
+            for _ in range(4):
+                circ = random_clifford_circuit(rng, n, int(rng.integers(1, 16)))
+                rot = RotationGate(
+                    int(rng.integers(n)), int(rng.integers(1, 4)), float(rng.uniform(-pi, pi))
+                )
+                comp.push_clifford(circ)
+                layer = comp.push_rotation(rot)
+                prefix = prefix + circ
+                want = CliffordTableau.from_circuit(prefix)
+                assert layer == conjugate_rotation(want, rot)
+                assert comp.result().residual == want
+                assert CliffordTableau.from_inverse(want.inverse()) == want
+                names.update(g.name for g in circ.gates)
+                axes.add(rot.axis)
+                distant_pairs += sum(
+                    len(g.qubits) == 2 and abs(g.qubits[0] - g.qubits[1]) > 1
+                    for g in circ.gates
+                )
+    assert names == set(GATE_ARITY)
+    assert axes == {1, 2, 3}
+    assert distant_pairs > 0
+
+
+# sha256 of the compiled text of realization 0 of the n=128, m=10, d=1,
+# seed-1234 T-doped instance; the literal is REFERENCE_COMPILE in
+# perfbench/checks.py.
+FULL_WIDTH_COMPILE_SHA256 = "b88107dcf02ecd6c3222f368a82861c8edf5495616dd6b9c625b48464dddfb23"
+
+
+def test_full_width_compile_text_is_pinned():
+    blocks = sample_tdoped_blocks(128, 10, 1, realization_rng(1234, 0))
+    text = compile_blocks(128, blocks).to_text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FULL_WIDTH_COMPILE_SHA256
 
 
 def test_compile_rejects_mixed_sizes():

@@ -24,6 +24,7 @@ from stabmpo.harness import (
     sample_tdoped_blocks,
     twirl_s_channel_check,
 )
+from stabmpo.dense import run_blocks
 from stabmpo.mps import Mps, TruncationPolicy
 from stabmpo.pauli import OracleCapError, PauliString
 
@@ -81,6 +82,22 @@ def test_dense_oracle_t_on_plus():
 def test_dense_oracle_cap():
     with pytest.raises(OracleCapError):
         dense_oracle_run(13, [], [0] * 13)
+
+
+def test_dense_oracle_rejects_bit_count_other_than_n():
+    blocks = sample_tdoped_blocks(3, 2, 1, np.random.default_rng(1))
+    z0 = PauliString.single(3, 0, 3)
+    for n in (2, 4):
+        with pytest.raises(ValueError, match="initial bits"):
+            dense_oracle_run(n, blocks, [0, 0, 0], z0)
+
+
+def test_dense_oracle_accepts_bits_as_an_iterator():
+    blocks = sample_tdoped_blocks(3, 2, 1, np.random.default_rng(1))
+    z0 = PauliString.single(3, 0, 3)
+    want = dense_oracle_run(3, blocks, [0, 0, 0], z0)
+    assert dense_oracle_run(3, blocks, iter([0, 0, 0]), z0) == want
+    assert np.array_equal(run_blocks(blocks, iter([1, 0, 1])), run_blocks(blocks, [1, 0, 1]))
 
 
 def test_dense_oracle_cross_checked_by_compiled_path():
