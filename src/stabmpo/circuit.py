@@ -116,7 +116,9 @@ class StabMpoCircuit:
     def from_text(cls, text: str) -> "StabMpoCircuit":
         lines = text.splitlines()
         head = lines[0].split() if lines else []
-        if len(head) != 5 or head[0] != "stabmpo-circuit":
+        if len(head) != 5 or (head[0], head[1], head[3]) != (
+            "stabmpo-circuit", "qubits", "layers"
+        ):
             raise ValueError("not a stabmpo circuit file")
         n, m = int(head[2]), int(head[4])
         layers = []
@@ -164,15 +166,15 @@ class StabMpoCompiler:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self._inverse_rows = CliffordTableau.identity(n).packed()
+        self._inverse_rows = list(CliffordTableau.identity(n).rows)
         self._tableau: CliffordTableau | None = None
         self.layers: list[StabMpoLayer] = []
 
     @property
     def tableau(self) -> CliffordTableau:
-        """Tableau of the accumulated Clifford; its forward images are built on first read."""
+        """Tableau of the accumulated Clifford; forward rows are built on first read."""
         if self._tableau is None:
-            inverse = CliffordTableau.from_packed(self.n, self._inverse_rows)
+            inverse = CliffordTableau(self.n, self._inverse_rows)
             self._tableau = CliffordTableau.from_inverse(inverse)
         return self._tableau
 

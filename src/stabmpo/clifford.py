@@ -1,18 +1,19 @@
 """Stabilizer tableau for N-qubit Clifford unitaries.
 
-The tableau stores the images of the 2N generators X_j, Z_j under forward
-conjugation P -> C P C^dag, with exact signs.  Gate updates act directly on
-the packed (x, z, phase) representation; conjugation of arbitrary strings
-multiplies generator images with the exact Pauli group law.  An incremental
-compiler keeps the packed rows of C^dag instead, as Stim's TableauSimulator
-does (Gidney, Quantum 5, 497 (2021)): appending a gate to C rewrites only
-the rows of its qubits (``append_to_inverse``), and the forward images are
-built from them only when read (``CliffordTableau.from_inverse``).  The module
-also provides the circuit container, its line-oriented serialization, and
-the two samplers used by the experiment drivers: brick-wall layers of
-uniformly random two-qubit Cliffords (drawn by index from an exhaustive
-canonical enumeration of all 11520 elements) and random U(1)-symmetric
-Cliffords in CZ / phase-power / permutation form.
+The tableau is its packed rows: the images of the 2N generators X_j, Z_j
+under forward conjugation P -> C P C^dag, each as ``(x, z, phase)`` ints
+with exact signs, the layout of Aaronson & Gottesman (PRA 70, 052328
+(2004)).  Gate updates rewrite the rows; conjugation of arbitrary strings
+multiplies the rows of their support with the exact Pauli group law.  An
+incremental compiler keeps the rows of C^dag instead, as Stim's
+TableauSimulator does (Gidney, Quantum 5, 497 (2021)): appending a gate to C
+rewrites only the rows of its qubits (``append_to_inverse``), and
+``CliffordTableau.from_inverse`` builds the forward rows from them only when
+read.  The module also provides the circuit container, its line-oriented
+serialization, and the two samplers used by the experiment drivers:
+brick-wall layers of uniformly random two-qubit Cliffords (drawn by index
+from an exhaustive canonical enumeration of all 11520 elements) and random
+U(1)-symmetric Cliffords in CZ / phase-power / permutation form.
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .pauli import PauliString
 
 TWO_QUBIT_CLIFFORD_COUNT = 11520
+
+# one packed tableau row: the image (x bits, z bits, phase exponent of i)
+Row = tuple[int, int, int]
 
 
 class Gate(NamedTuple):
@@ -48,14 +52,18 @@ GATE_ARITY = {
 _INVERSE_NAME = {"S": "SDG", "SDG": "S"}
 
 
-def gate(name: str, *qubits: int) -> Gate:
-    name = name.upper()
+def _check_gate(name: str, qubits: tuple[int, ...]) -> None:
     if name not in GATE_ARITY:
         raise ValueError(f"unsupported gate {name!r}")
     if len(qubits) != GATE_ARITY[name]:
         raise ValueError(f"{name} expects {GATE_ARITY[name]} qubit(s)")
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"{name} qubits must be distinct")
+
+
+def gate(name: str, *qubits: int) -> Gate:
+    name = name.upper()
+    _check_gate(name, qubits)
     return Gate(name, tuple(qubits))
 
 
@@ -69,12 +77,9 @@ class CliffordCircuit:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            if g.name not in GATE_ARITY:
-                raise ValueError(f"unsupported gate {g.name!r}")
+            _check_gate(g.name, g.qubits)
             if any(not 0 <= q < self.n for q in g.qubits):
                 raise ValueError(f"gate {g} out of range for n={self.n}")
-            if len(set(g.qubits)) != len(g.qubits):
-                raise ValueError(f"gate {g} has repeated qubits")
 
     def inverse(self) -> "CliffordCircuit":
         inv = tuple(
@@ -119,7 +124,7 @@ def _header_count(line: str) -> int:
 # ----------------------------------------------------------------------
 # elementary conjugation rules on packed (x, z, phase) triples
 # ----------------------------------------------------------------------
-def _conjugate_bits(x: int, z: int, phase: int, g: Gate) -> tuple[int, int, int]:
+def _conjugate_bits(x: int, z: int, phase: int, g: Gate) -> Row:
     """Forward-conjugate the packed string by one elementary gate."""
     name = g.name
     if name == "H":
@@ -176,9 +181,7 @@ def _conjugate_bits(x: int, z: int, phase: int, g: Gate) -> tuple[int, int, int]
     return x, z, phase
 
 
-def _image_bits(
-    rows: list[tuple[int, int, int]], n: int, x: int, z: int, phase: int
-) -> tuple[int, int, int]:
+def _image_bits(rows: Sequence[Row], n: int, x: int, z: int, phase: int) -> Row:
     """Image of the packed string under the tableau whose packed rows are given.
 
     rows[j] is the image of X_j and rows[n + j] that of Z_j; only the rows
@@ -203,27 +206,14 @@ def _image_bits(
     return ox, oz, phase % 4
 
 
-def _prepend_bits(rows: list[tuple[int, int, int]], n: int, g: Gate) -> None:
-    """Rewrite the packed rows of a tableau T in place to those of T o g.
-
-    g acts first, so the row of a generator G becomes T(g G g^dag); only
-    the rows X_q and Z_q of g's qubits change.  Every new row is computed
-    from the old rows before any of them is written back.
-    """
-    new = []
-    for q in g.qubits:
-        m = 1 << q
-        for k, (x, z) in ((q, (m, 0)), (n + q, (0, m))):
-            new.append((k, _image_bits(rows, n, *_conjugate_bits(x, z, 0, g))))
-    for k, row in new:
-        rows[k] = row
-
-
-def append_to_inverse(rows: list[tuple[int, int, int]], circ: CliffordCircuit) -> None:
+def append_to_inverse(rows: list[Row], circ: CliffordCircuit) -> None:
     """Update the packed rows of C^dag in place to those of (circ C)^dag.
 
     Appending g to C prepends g^dag to C^dag, since (g C)^dag P (g C) =
-    C^dag (g^dag P g) C; gates are taken in circuit order.
+    C^dag (g^dag P g) C; gates are taken in circuit order.  Prepending h to
+    a tableau T makes the row of a generator G the image T(h G h^dag), so
+    only the rows X_q and Z_q of h's qubits change.  Every new row is
+    computed from the old rows before any of them is written back.
     """
     n = circ.n
     if len(rows) != 2 * n:
@@ -231,7 +221,13 @@ def append_to_inverse(rows: list[tuple[int, int, int]], circ: CliffordCircuit) -
     for g in circ.gates:
         if g.name in _INVERSE_NAME:
             g = Gate(_INVERSE_NAME[g.name], g.qubits)
-        _prepend_bits(rows, n, g)
+        new = []
+        for q in g.qubits:
+            m = 1 << q
+            for k, (x, z) in ((q, (m, 0)), (n + q, (0, m))):
+                new.append((k, _image_bits(rows, n, *_conjugate_bits(x, z, 0, g))))
+        for k, row in new:
+            rows[k] = row
 
 
 def _transpose_bits(vals: list[int], n: int) -> list[int]:
@@ -245,74 +241,75 @@ def _transpose_bits(vals: list[int], n: int) -> list[int]:
     return out
 
 
-class CliffordTableau:
-    """Forward-conjugation images of X_j and Z_j; immutable by convention.
+def _symplectic_inverse(rows: Sequence[Row], n: int) -> list[Row]:
+    """Packed rows of C^dag given those of C.
 
-    A tableau made by ``from_inverse`` holds only its inverse and builds its
-    own images on their first read.
+    The bit part is the symplectic inverse Lambda M^T Lambda of the image
+    matrix M: C^dag X_k C has x bit j where the image of Z_j has z bit k,
+    and z bit j where the image of X_j has z bit k; for Z_k read the x bits
+    instead.  The phase makes the forward image +X_k or +Z_k.
+    """
+    xx = _transpose_bits([r[0] for r in rows[:n]], n)
+    xz = _transpose_bits([r[1] for r in rows[:n]], n)
+    zx = _transpose_bits([r[0] for r in rows[n:]], n)
+    zz = _transpose_bits([r[1] for r in rows[n:]], n)
+    bits = [(zz[k], xz[k]) for k in range(n)] + [(zx[k], xx[k]) for k in range(n)]
+    out = []
+    for k, (x, z) in enumerate(bits):
+        phase = (x & z).bit_count()
+        fx, fz, fphase = _image_bits(rows, n, x, z, phase)
+        if (fx, fz) != ((1 << k, 0) if k < n else (0, 1 << (k - n))) or fphase & 1:
+            raise ValueError("tableau is not symplectic")
+        out.append((x, z, (phase + fphase) % 4))
+    return out
+
+
+class CliffordTableau:
+    """Packed images of X_j and Z_j; immutable by convention.
+
+    ``rows[j]`` is the image of X_j under P -> C P C^dag and ``rows[n + j]``
+    that of Z_j, each as ``(x, z, phase mod 4)``.  A tableau made by
+    ``from_inverse`` holds only its inverse and builds its rows on first read.
     """
 
-    __slots__ = ("n", "_x", "_z", "_inv")
+    __slots__ = ("n", "_rows", "_inv")
 
-    def __init__(
-        self,
-        n: int,
-        x_images: Iterable[PauliString],
-        z_images: Iterable[PauliString],
-    ) -> None:
+    def __init__(self, n: int, rows: Iterable[Row]) -> None:
         self.n = n
-        self._x: tuple[PauliString, ...] | None = tuple(x_images)
-        self._z: tuple[PauliString, ...] | None = tuple(z_images)
+        self._rows: tuple[Row, ...] | None = tuple((x, z, ph % 4) for x, z, ph in rows)
         self._inv: "CliffordTableau | None" = None
-        if len(self._x) != n or len(self._z) != n:
-            raise ValueError("tableau needs n X-images and n Z-images")
+        if len(self._rows) != 2 * n:
+            raise ValueError("tableau needs 2n rows, the images of X0.. and Z0..")
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
-        xs = [PauliString.single(n, j, 1) for j in range(n)]
-        zs = [PauliString.single(n, j, 3) for j in range(n)]
-        return cls(n, xs, zs)
+        xs = [(1 << j, 0, 0) for j in range(n)]
+        return cls(n, xs + [(0, 1 << j, 0) for j in range(n)])
 
     @classmethod
     def from_circuit(cls, circ: CliffordCircuit) -> "CliffordTableau":
         return cls.identity(circ.n).apply_circuit(circ)
 
     @classmethod
-    def from_packed(cls, n: int, rows: list[tuple[int, int, int]]) -> "CliffordTableau":
-        """Tableau with the packed ``(x, z, phase)`` rows X_0.., Z_0.. as images."""
-        imgs = [PauliString(n, x, z, ph) for (x, z, ph) in rows]
-        return cls(n, imgs[:n], imgs[n:])
-
-    @classmethod
     def from_inverse(cls, inv: "CliffordTableau") -> "CliffordTableau":
         """Tableau of C given that of C^dag.
 
         Inverse conjugation and ``inverse()`` read ``inv`` directly; the
-        forward images are built from it on their first read and cached.
+        forward rows are built from it on their first read and cached.
         """
         tab = cls.__new__(cls)
         tab.n = inv.n
-        tab._x = tab._z = None
+        tab._rows = None
         tab._inv = inv
         return tab
 
     @property
-    def x_images(self) -> tuple[PauliString, ...]:
-        if self._x is None:
-            self._x, self._z = self._inv._inverse_images()
-        return self._x
-
-    @property
-    def z_images(self) -> tuple[PauliString, ...]:
-        if self._z is None:
-            self._x, self._z = self._inv._inverse_images()
-        return self._z
+    def rows(self) -> tuple[Row, ...]:
+        if self._rows is None:
+            self._rows = tuple(_symplectic_inverse(self._inv.rows, self.n))
+        return self._rows
 
     # ------------------------------------------------------------------
-    def packed(self) -> list[tuple[int, int, int]]:
-        """Packed ``(x, z, phase)`` images of X_0.., Z_0.., in that order."""
-        return [(p.x, p.z, p.phase_exp) for p in self.x_images + self.z_images]
-
     def apply_gate(self, g: Gate) -> "CliffordTableau":
         """Tableau of g o C (gate applied after the current circuit)."""
         return self.apply_circuit(CliffordCircuit(self.n, (g,)))
@@ -320,79 +317,37 @@ class CliffordTableau:
     def apply_circuit(self, circ: CliffordCircuit) -> "CliffordTableau":
         if circ.n != self.n:
             raise ValueError("qubit count mismatch")
-        packed = self.packed()
+        rows = self.rows
         for g in circ.gates:
-            packed = [_conjugate_bits(x, z, ph, g) for (x, z, ph) in packed]
-        return CliffordTableau.from_packed(self.n, packed)
+            rows = [_conjugate_bits(x, z, phase, g) for (x, z, phase) in rows]
+        return CliffordTableau(self.n, rows)
 
     # ------------------------------------------------------------------
     def conjugate(self, p: PauliString, direction: str = "forward") -> PauliString:
         """Return C P C^dag (forward) or C^dag P C (inverse), sign exact.
 
-        Only the images of the string's support are multiplied, so a
-        single-site string costs one image (two for Y).
+        Only the rows of the string's support are multiplied, so a
+        single-site string costs one row (two for Y).
         """
         if p.n != self.n:
             raise ValueError("length mismatch")
-        if direction == "inverse":
-            return self.inverse().conjugate(p, "forward")
-        if direction != "forward":
+        if direction not in ("forward", "inverse"):
             raise ValueError(f"unknown direction {direction!r}")
-        out = PauliString(self.n, 0, 0, p.phase_exp)
-        bits = p.x | p.z
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            j = low.bit_length() - 1
-            if p.x & low:
-                out = out.mul(self.x_images[j])
-            if p.z & low:
-                out = out.mul(self.z_images[j])
-        return out
+        rows = self.rows if direction == "forward" else self.inverse().rows
+        return PauliString(self.n, *_image_bits(rows, self.n, p.x, p.z, p.phase_exp))
 
     def inverse(self) -> "CliffordTableau":
         """Tableau of C^dag; cached."""
         if self._inv is None:
-            inv = CliffordTableau(self.n, *self._inverse_images())
+            inv = CliffordTableau(self.n, _symplectic_inverse(self.rows, self.n))
             inv._inv = self
             self._inv = inv
         return self._inv
 
-    def _inverse_images(self) -> tuple[tuple[PauliString, ...], tuple[PauliString, ...]]:
-        """Images of X_k and Z_k under C^dag . C.
-
-        The bit part is the symplectic inverse Lambda M^T Lambda of the
-        image matrix M: C^dag X_k C has x bit j where the image of Z_j has z
-        bit k, and z bit j where the image of X_j has z bit k; for Z_k read
-        the x bits instead.  The sign makes the forward image +X_k or +Z_k.
-        """
-        n = self.n
-        xs, zs = self.x_images, self.z_images
-        xx = _transpose_bits([p.x for p in xs], n)
-        xz = _transpose_bits([p.z for p in xs], n)
-        zx = _transpose_bits([p.x for p in zs], n)
-        zz = _transpose_bits([p.z for p in zs], n)
-        bits = [(zz[k], xz[k]) for k in range(n)] + [(zx[k], xx[k]) for k in range(n)]
-        out: list[PauliString] = []
-        for k, (x, z) in enumerate(bits):
-            cand = PauliString(n, x, z, (x & z).bit_count())
-            forward = self.conjugate(cand, "forward")
-            gen = (
-                PauliString.single(n, k, 1)
-                if k < n
-                else PauliString.single(n, k - n, 3)
-            )
-            if (forward.x, forward.z) != (gen.x, gen.z):
-                raise ValueError("tableau is not symplectic")
-            out.append(cand.negate() if forward.sign < 0 else cand)
-        return tuple(out[:n]), tuple(out[n:])
-
     # ------------------------------------------------------------------
     def key(self) -> tuple:
-        """Hashable canonical form (letters + sign per image)."""
-        return tuple(
-            (p.x, p.z, p.letter_exp) for p in self.x_images + self.z_images
-        )
+        """Hashable canonical form: the packed rows."""
+        return self.rows
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CliffordTableau) and self.key() == other.key()
@@ -404,25 +359,25 @@ class CliffordTableau:
         return self == CliffordTableau.identity(self.n)
 
     def validate(self) -> None:
-        """Check the symplectic pattern and Hermitian +-1 signs of all images."""
-        gens = [PauliString.single(self.n, j, 1) for j in range(self.n)]
-        gens += [PauliString.single(self.n, j, 3) for j in range(self.n)]
-        imgs = self.x_images + self.z_images
-        for i, a in enumerate(imgs):
-            if a.letter_exp not in (0, 2):
+        """Check the symplectic pattern and Hermitian +-1 signs of all rows."""
+        rows = self.rows
+        for i, (ax, az, phase) in enumerate(rows):
+            if (phase - (ax & az).bit_count()) % 2:
                 raise ValueError(f"image {i} is not a signed Hermitian string")
-            for j, b in enumerate(imgs):
-                if a.commutes(b) != gens[i].commutes(gens[j]):
+            # the only anticommuting generator pairs are X_k, Z_k: rows k and n + k
+            for j, (bx, bz, _) in enumerate(rows):
+                anti = ((ax & bz).bit_count() ^ (az & bx).bit_count()) & 1
+                if anti != (abs(i - j) == self.n):
                     raise ValueError(
                         f"symplectic pattern broken between images {i} and {j}"
                     )
 
     def to_text(self) -> str:
-        lines = [f"qubits {self.n}"]
-        for j in range(self.n):
-            lines.append(f"X{j} -> {self.x_images[j].to_literal()}")
-        for j in range(self.n):
-            lines.append(f"Z{j} -> {self.z_images[j].to_literal()}")
+        n = self.n
+        lines = [f"qubits {n}"]
+        for i, (x, z, phase) in enumerate(self.rows):
+            label = f"X{i}" if i < n else f"Z{i - n}"
+            lines.append(f"{label} -> {PauliString(n, x, z, phase).to_literal()}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -433,12 +388,12 @@ class CliffordTableau:
         for ln in lines[1:]:
             head, _, lit = ln.partition("->")
             images[head.strip()] = PauliString.from_literal(lit.strip())
-        rows = [f"{k}{j}" for k in "XZ" for j in range(n)]
-        if len(lines) != 2 * n + 1 or set(images) != set(rows):
+        labels = [f"{k}{j}" for k in "XZ" for j in range(n)]
+        if len(lines) != 2 * n + 1 or set(images) != set(labels):
             raise ValueError("tableau text needs one row for each of X0.. and Z0..")
         if any(p.n != n for p in images.values()):
             raise ValueError("tableau image length does not match 'qubits N'")
-        tab = cls(n, [images[r] for r in rows[:n]], [images[r] for r in rows[n:]])
+        tab = cls(n, [(p.x, p.z, p.phase_exp) for p in map(images.get, labels)])
         tab.validate()
         return tab
 
@@ -453,9 +408,8 @@ def two_qubit_clifford_sequences() -> tuple[tuple[Gate, ...], ...]:
     Built once by breadth-first closure over {H, S, CNOT} generators and
     deduplicated by canonical tableau form (i.e. up to global phase).  The
     BFS order is deterministic, so index i always denotes the same element.
-    A state is the packed ``(x, z, phase % 4)`` images of X0, X1, Z0, Z1;
-    it is its own dedup key, equivalent to ``CliffordTableau.key()``
-    because the letter exponent is fixed by ``(x, z, phase)``.
+    A state is the packed ``(x, z, phase % 4)`` rows of X0, X1, Z0, Z1;
+    it is its own dedup key, the same as ``CliffordTableau.key()``.
     """
     generators = (
         Gate("H", (0,)),
@@ -464,7 +418,7 @@ def two_qubit_clifford_sequences() -> tuple[tuple[Gate, ...], ...]:
         Gate("S", (1,)),
         Gate("CNOT", (0, 1)),
     )
-    start = tuple(CliffordTableau.identity(2).packed())
+    start = CliffordTableau.identity(2).rows
     seen = {start}
     order: list[tuple[Gate, ...]] = [()]
     queue: deque[tuple[tuple, tuple[Gate, ...]]] = deque([(start, ())])

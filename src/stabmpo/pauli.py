@@ -57,7 +57,9 @@ class OracleCapError(ValueError):
 
 def index_to_xz(mu: int) -> tuple[int, int]:
     """Return the (x, z) bit pair of basis index mu in {0,1,2,3}."""
-    return _INDEX_TO_XZ[mu]
+    if mu not in (0, 1, 2, 3):
+        raise ValueError(f"Pauli letter index must be 0, 1, 2 or 3, got {mu!r}")
+    return _INDEX_TO_XZ[int(mu)]
 
 
 def xz_to_index(x: int, z: int) -> int:
@@ -104,7 +106,7 @@ class PauliString:
         x = z = 0
         y_count = 0
         for j, mu in enumerate(letters):
-            xb, zb = _INDEX_TO_XZ[mu]
+            xb, zb = index_to_xz(mu)
             x |= xb << j
             z |= zb << j
             y_count += xb & zb
@@ -115,7 +117,7 @@ class PauliString:
         """Single-site basis operator sigma^mu on ``site`` of an n-qubit string."""
         if not 0 <= site < n:
             raise ValueError(f"site {site} out of range for n={n}")
-        xb, zb = _INDEX_TO_XZ[mu]
+        xb, zb = index_to_xz(mu)
         return cls(n, xb << site, zb << site, xb & zb)
 
     @classmethod

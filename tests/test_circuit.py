@@ -364,10 +364,11 @@ _GOOD_TEXT = (
         _GOOD_TEXT.replace("+ 0.5 Z", "+ 0.5 ZZ"),
         _GOOD_TEXT.replace("LAYER 1 +", "LAYER 1 *"),
         _GOOD_TEXT.replace("LAYER 1", "LAYER 7"),
+        _GOOD_TEXT.replace("circuit qubits 1 layers", "circuit foo 1 bar"),
     ],
     ids=[
         "empty", "short-header", "nan-angle", "size-mismatch", "bad-sign",
-        "bad-index",
+        "bad-index", "bad-header-words",
     ],
 )
 def test_circuit_from_text_rejects_bad_text(text):

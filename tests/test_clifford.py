@@ -281,3 +281,7 @@ def test_gate_constructor_validation():
         gate("FOO", 0)
     with pytest.raises(ValueError):
         CliffordCircuit(2, (Gate("H", (5,)),))
+    with pytest.raises(ValueError):
+        CliffordCircuit(2, (Gate("H", (0, 1)),))
+    with pytest.raises(ValueError):
+        CliffordCircuit(2, (Gate("CNOT", (0,)),))

@@ -170,6 +170,14 @@ def test_sign_of_hermitian_strings():
         _ = PauliString.from_literal("+iX").sign
 
 
+@pytest.mark.parametrize("mu", [-1, 4, 5, 1.5])
+def test_letter_index_out_of_range_rejected(mu):
+    with pytest.raises(ValueError):
+        PauliString.single(3, 0, mu)
+    with pytest.raises(ValueError):
+        PauliString.from_letters([mu])
+
+
 def test_index_mapping_roundtrip():
     from stabmpo.pauli import index_to_xz, xz_to_index
 
