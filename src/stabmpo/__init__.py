@@ -19,7 +19,7 @@ del _var
 __version__ = "0.1.0"
 
 from .circuit import (
-    ExpectationResult,
+    Contraction,
     RotationGate,
     StabMpoCircuit,
     StabMpoCompiler,
@@ -61,7 +61,7 @@ from .temporal import (
 __all__ = [
     "CliffordCircuit",
     "CliffordTableau",
-    "ExpectationResult",
+    "Contraction",
     "FloquetConfig",
     "Gate",
     "Mps",

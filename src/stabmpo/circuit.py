@@ -231,12 +231,27 @@ def apply_layer(
 
 
 @dataclass
-class ExpectationResult:
-    value: float
-    layer_truncation: list[float] = field(default_factory=list)
+class Contraction:
+    """One contraction's value plus per-step truncation and entropy.
+
+    A step is a layer (identity layers record 0.0) or, for the horizontal
+    sweep, a column; the vertical fold records no entropy.
+    """
+
+    value: float = 0.0
+    truncation: list[float] = field(default_factory=list)
     entropy_bits: list[float] = field(default_factory=list)
     max_bond: int = 1
     zero_state: bool = False
+
+    def record(self, state: Mps, err: float, cut: int | None = None) -> bool:
+        """Record one step, with the entropy at ``cut`` if given; True once zero."""
+        self.truncation.append(err)
+        if cut is not None:
+            self.entropy_bits.append(state.entanglement_entropy(cut))
+        self.max_bond = max(self.max_bond, state.max_bond)
+        self.zero_state = state.is_zero
+        return self.zero_state
 
 
 def expectation(
@@ -244,25 +259,21 @@ def expectation(
     circuit: StabMpoCircuit,
     observable: PauliString,
     policy: TruncationPolicy,
-) -> ExpectationResult:
+) -> Contraction:
     """<psi| U^dag O U |psi> via layer evolution of the compiled circuit.
 
     Layers are applied in order (first compiled first); the observable is
     pulled back through the residual Clifford and measured on the evolved
-    state.  Diagnostics track per-layer truncation, the half-chain entropy
+    state.  The record holds per-layer truncation, the half-chain entropy
     trajectory and the largest bond reached.
     """
     if not observable.is_hermitian:
         raise ValueError("observable must be Hermitian")
     state = psi0
-    res = ExpectationResult(value=0.0, max_bond=psi0.max_bond)
+    res = Contraction(max_bond=psi0.max_bond)
     for layer in circuit.layers:
         state, err = apply_layer(state, layer, policy)
-        res.layer_truncation.append(err)
-        res.entropy_bits.append(state.entanglement_entropy(state.n // 2))
-        res.max_bond = max(res.max_bond, state.max_bond)
-        if state.is_zero:
-            res.zero_state = True
+        if res.record(state, err, state.n // 2):
             return res
     nu = transform_observable(circuit.residual, observable)
     res.value = state.expect_pauli(nu)

@@ -74,6 +74,8 @@ class TDopedConfig:
     def validate(self) -> None:
         if min(self.n, self.depth_d, self.chi, self.realizations) < 1:
             raise ValueError("all counts must be >= 1")
+        if self.seed < 0:  # numpy rejects a negative entry of [seed, realization]
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # m_layers = 0 is a pure-Clifford circuit: no layers, nothing evolves
         if self.m_layers < 0:
             raise ValueError("m_layers must be >= 0")
@@ -125,6 +127,8 @@ class FloquetConfig:
     def validate(self) -> None:
         if min(self.n, self.periods, self.chi, self.realizations) < 1:
             raise ValueError("all counts must be >= 1")
+        if self.seed < 0:  # numpy rejects a negative entry of [seed, realization]
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.epsilon <= pi / 2:
             raise ValueError("epsilon must lie in [0, pi/2]")
 
@@ -268,14 +272,22 @@ def dense_oracle_run(n: int, blocks, bits, observable: PauliString | None = None
 # ----------------------------------------------------------------------
 # the study driver: one realization loop, one run/aggregate/write path
 # ----------------------------------------------------------------------
-def _evolve_baseline_gate(state: Mps, g, policy: TruncationPolicy) -> tuple[Mps, float]:
-    if g.name in GATE_1Q:
-        return state.apply_1q_gate(GATE_1Q[g.name], g.qubits[0]), 0.0
-    u = GATE_2Q[g.name]
-    a, b = g.qubits
-    if b != a + 1:
-        raise ValueError("baseline expects adjacent two-qubit gates")
-    return state.apply_2q_gate(u, a, policy)
+def apply_gates(state: Mps, circ, policy: TruncationPolicy) -> tuple[Mps, list[float]]:
+    """Gate-by-gate evolution; returns the state and each two-qubit gate's loss.
+
+    Two-qubit gates must act on adjacent qubits (a, a + 1).
+    """
+    errs = []
+    for g in circ.gates:
+        if g.name in GATE_1Q:
+            state = state.apply_1q_gate(GATE_1Q[g.name], g.qubits[0])
+            continue
+        a, b = g.qubits
+        if b != a + 1:
+            raise ValueError(f"gate {g.name} on {g.qubits} is not on adjacent qubits")
+        state, err = state.apply_2q_gate(GATE_2Q[g.name], a, policy)
+        errs.append(err)
+    return state, errs
 
 
 def _record(state: Mps, value: float, cum: float) -> tuple:
@@ -314,8 +326,8 @@ def _realization(cfg: TDopedConfig | FloquetConfig, realization: int) -> dict:
         state, err = apply_layer(state, comp.push_rotation(rot), policy)
         cum += err
         if base is not None:
-            for g in circ.gates:
-                base, gerr = _evolve_baseline_gate(base, g, policy)
+            base, gate_errs = apply_gates(base, circ, policy)
+            for gerr in gate_errs:  # gate by gate: the running sum keeps its rounding
                 cum_base += gerr
             base = base.apply_1q_gate(rotation_matrix(rot.axis, rot.theta), rot.site)
         if k % cfg.record_every:
@@ -326,7 +338,7 @@ def _realization(cfg: TDopedConfig | FloquetConfig, realization: int) -> dict:
             out["baseline"].append(_record(base, base.expect_pauli(obs), cum_base))
         if cfg.run_temporal:
             hres = horizontal_contract(comp.result(), obs, bits, policy)
-            out["temporal"].append(hres.temporal_entropy_bits)
+            out["temporal"].append(hres.entropy_bits)
     return out
 
 
@@ -368,10 +380,8 @@ def _write_lines(path: Path, lines) -> None:
 
 @dataclass
 class RunResult:
-    kind: str
     config: object
     rows: list[tuple] = field(default_factory=list)
-    aggregate_header: str = ""
     aggregate_rows: list[tuple] = field(default_factory=list)
     temporal_mean: np.ndarray | None = None
     outdir: Path | None = None
@@ -409,7 +419,7 @@ def _run(cfg: TDopedConfig | FloquetConfig, outdir: str | Path | None) -> RunRes
         stack = np.array([res["temporal"] for res in results])  # (R, m, n)
         temporal_mean = stack.mean(axis=0)
 
-    out = RunResult(cfg.kind, cfg, rows, cfg.aggregate_header, agg_rows, temporal_mean)
+    out = RunResult(cfg, rows, agg_rows, temporal_mean)
     if outdir is not None:
         _write_files(out, Path(outdir))
     return out
@@ -427,7 +437,7 @@ def run_floquet(cfg: FloquetConfig, outdir: str | Path | None = None) -> RunResu
 
 def _write_files(res: RunResult, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    meta = [f"run={res.kind}", f"code_version={__version__}"]
+    meta = [f"run={res.config.kind}", f"code_version={__version__}"]
     meta += [f"{k}={_fmt(v)}" for k, v in asdict(res.config).items()]
     _write_lines(outdir / "meta.txt", meta)
 
@@ -439,7 +449,7 @@ def _write_files(res: RunResult, outdir: Path) -> None:
         )
     _write_lines(outdir / "trajectory.csv", traj)
 
-    agg = [res.aggregate_header]
+    agg = [res.config.aggregate_header]
     for track, m, *vals in res.aggregate_rows:
         agg.append(",".join([track, str(m)] + [_fmt(float(v)) for v in vals]))
     _write_lines(outdir / "aggregate.csv", agg)

@@ -196,9 +196,6 @@ class PauliString:
         """The same letters with +1 prefix (canonical Hermitian form)."""
         return PauliString(self.n, self.x, self.z, self.y_count)
 
-    def negate(self) -> "PauliString":
-        return PauliString(self.n, self.x, self.z, self.phase_exp + 2)
-
     def to_literal(self) -> str:
         body = "".join(PAULI_LETTERS[self.letter(j)] for j in range(self.n))
         return _PHASE_PREFIX[self.letter_exp] + body

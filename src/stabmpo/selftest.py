@@ -20,7 +20,8 @@ from .clifford import (
     two_qubit_clifford_sequences,
 )
 from .dense import apply_circuit, apply_pauli, basis_state, circuit_unitary
-from .harness import dense_oracle_run, sample_tdoped_blocks, twirl_s_channel_check
+from .harness import apply_gates, dense_oracle_run, sample_tdoped_blocks
+from .harness import twirl_s_channel_check
 from .mps import Mps, TruncationPolicy
 from .pauli import SIGMA, PauliString
 from .temporal import (
@@ -151,20 +152,10 @@ def _check_cross_methods(rng) -> None:
 def _check_mps_exactness(rng) -> None:
     n = 6
     bits = [0] * n
-    state = Mps.product_state(bits)
-    vec = basis_state(bits)
     policy = TruncationPolicy(chi_max=2 ** (n // 2))
     circ = sample_brickwall(n, 3, rng)
-    for g in circ.gates:
-        if len(g.qubits) == 1:
-            from .dense import GATE_1Q
-
-            state = state.apply_1q_gate(GATE_1Q[g.name], g.qubits[0])
-        else:
-            from .dense import GATE_2Q
-
-            state, _ = state.apply_2q_gate(GATE_2Q[g.name], g.qubits[0], policy)
-    vec = apply_circuit(vec, circ)
+    state, _ = apply_gates(Mps.product_state(bits), circ, policy)
+    vec = apply_circuit(basis_state(bits), circ)
     p = _random_pauli(rng, n).unsigned()
     ref = np.vdot(vec, apply_pauli(vec, p, n)).real
     _require(abs(state.expect_pauli(p) - ref) < 1e-8, "MPS differs from dense")

@@ -11,12 +11,11 @@ of the auxiliary chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import ceil
 
 import numpy as np
 
-from .circuit import StabMpoCircuit, transform_observable
+from .circuit import Contraction, StabMpoCircuit, transform_observable
 from .mps import Mps, TruncationPolicy, basis_bits, cap_mpo, diagonal_mpo, inner
 from .pauli import PauliString
 
@@ -111,20 +110,12 @@ def _observable_letters(circuit: StabMpoCircuit, observable: PauliString):
 # ----------------------------------------------------------------------
 # vertical contraction: evolve the state's Pauli coefficient train
 # ----------------------------------------------------------------------
-@dataclass
-class FoldedEvolveResult:
-    value: float
-    layer_truncation: list[float] = field(default_factory=list)
-    max_bond: int = 1
-    zero_state: bool = False
-
-
 def vertical_fold_evolve(
     circuit: StabMpoCircuit,
     observable: PauliString,
     bits,
     policy: TruncationPolicy,
-) -> FoldedEvolveResult:
+) -> Contraction:
     """Transfer-basis evolution of |bits><bits| through all layers.
 
     Each layer acts on the dim-4 coefficient train as one bond-4 diagonal
@@ -136,18 +127,15 @@ def vertical_fold_evolve(
     if len(bits) != circuit.n:
         raise ValueError("initial state length mismatch")
     y = Mps.from_site_vectors([computational_pauli_vector(b) for b in bits])
-    res = FoldedEvolveResult(value=0.0)
+    res = Contraction()
 
     for layer in circuit.layers:
-        if layer.is_identity_string:
-            continue  # the four branches sum to exactly |phi0 + phi1|^2 = 1
-        rows = [_FOLDED_ROWS[layer.gamma.letter(j)] for j in range(circuit.n)]
-        coeffs = folded_coefficients(layer.phi0, layer.phi1)
-        y, err = y.apply_mpo(cap_mpo(rows, coeffs, np.ones(4)), policy)
-        res.layer_truncation.append(err)
-        res.max_bond = max(res.max_bond, y.max_bond)
-        if y.is_zero:
-            res.zero_state = True
+        err = 0.0  # an identity layer's four branches sum to |phi0 + phi1|^2 = 1
+        if not layer.is_identity_string:
+            rows = [_FOLDED_ROWS[layer.gamma.letter(j)] for j in range(circuit.n)]
+            coeffs = folded_coefficients(layer.phi0, layer.phi1)
+            y, err = y.apply_mpo(cap_mpo(rows, coeffs, np.ones(4)), policy)
+        if res.record(y, err):
             return res
 
     nu, sign = _observable_letters(circuit, observable)
@@ -179,21 +167,12 @@ def _folded_column(circuit: StabMpoCircuit, nu: PauliString, site: int, bit: int
     return cap_mpo(tensors, computational_pauli_vector(bit), top)
 
 
-@dataclass
-class HorizontalResult:
-    value: float
-    temporal_entropy_bits: np.ndarray
-    max_bond: int = 1
-    zero_state: bool = False
-    column_truncation: list[float] = field(default_factory=list)
-
-
 def horizontal_contract(
     circuit: StabMpoCircuit,
     observable: PauliString,
     bits,
     policy: TruncationPolicy,
-) -> HorizontalResult:
+) -> Contraction:
     """Sweep the folded auxiliary chain over physical columns left to right.
 
     The chain has one dim-4 site per layer, holding that layer's folded
@@ -203,41 +182,28 @@ def horizontal_contract(
     symmetric-bipartition entropy of the chain is recorded after every
     column; the final scalar matches the vertical contraction.
     """
+    if circuit.m == 0:
+        value = vertical_fold_evolve(circuit, observable, bits, policy).value
+        return Contraction(value, [0.0] * circuit.n, [0.0] * circuit.n)
     bits = basis_bits(bits)
     if len(bits) != circuit.n:
         raise ValueError("initial state length mismatch")
     nu, sign = _observable_letters(circuit, observable)
-
-    if circuit.m == 0:
-        value = 1.0
-        for j, b in enumerate(bits):
-            mu = nu.letter(j)
-            if mu == 3:
-                value *= -1.0 if b else 1.0
-            elif mu != 0:
-                value = 0.0
-                break
-        return HorizontalResult(sign * value, np.zeros(circuit.n))
 
     work = TruncationPolicy(policy.chi_max, policy.svd_cutoff, renormalize=True)
     chain = Mps.from_site_vectors(
         np.array(folded_coefficients(l.phi0, l.phi1), dtype=np.complex128)
         for l in circuit.layers
     )
-    entropies = np.zeros(circuit.n)
-    res = HorizontalResult(0.0, entropies)
+    res = Contraction()
     cut = ceil(circuit.m / 2)
 
     for j in range(circuit.n):
         tensors = _folded_column(circuit, nu, j, bits[j])
         chain, err = chain.apply_mpo(tensors, work)
-        res.column_truncation.append(err)
-        res.max_bond = max(res.max_bond, chain.max_bond)
-        if chain.is_zero:
-            res.zero_state = True
-            res.value = 0.0
+        if res.record(chain, err, cut):
+            res.entropy_bits += [0.0] * (circuit.n - j - 1)
             return res
-        entropies[j] = chain.entanglement_entropy(cut)
 
     closure = Mps.from_site_vectors(
         np.ones(4, dtype=np.complex128) for _ in range(circuit.m)

@@ -12,7 +12,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from stabmpo.clifford import CliffordCircuit, Gate
-from stabmpo.dense import GATE_1Q, GATE_2Q
 from stabmpo.mps import Mps, TruncationPolicy
 from stabmpo.pauli import PauliString
 
@@ -57,20 +56,6 @@ def random_mps(rng, n: int, layers: int = 3) -> Mps:
     for _ in range(layers):
         for i in range(n - 1):
             state, _ = state.apply_2q_gate(random_unitary(rng, 4), i, policy)
-    return state
-
-
-def evolve_mps_by_circuit(
-    state: Mps, circ: CliffordCircuit, policy: TruncationPolicy
-) -> Mps:
-    """Gate-by-gate evolution; two-qubit gates must be adjacent."""
-    for g in circ.gates:
-        if len(g.qubits) == 1:
-            state = state.apply_1q_gate(GATE_1Q[g.name], g.qubits[0])
-        else:
-            a, b = g.qubits
-            assert b == a + 1, "test circuits must use adjacent pairs"
-            state, _ = state.apply_2q_gate(GATE_2Q[g.name], a, policy)
     return state
 
 

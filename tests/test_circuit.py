@@ -294,7 +294,7 @@ def test_expectation_n6_m4():
     ref = dense_oracle_run(n, blocks, [0] * n, obs)
     assert got.value == pytest.approx(ref, abs=1e-8)
     assert len(got.entropy_bits) == 4
-    assert len(got.layer_truncation) == 4
+    assert len(got.truncation) == 4
 
 
 def test_expectation_zero_angles_reduce_to_clifford():

@@ -140,3 +140,18 @@ def test_meta_records_full_config(tmp_path):
     for key in ("run=tdoped", "code_version=", "n=4", "m_layers=2", "depth_d=1",
                 "chi=8", "realizations=1", "seed=3", "run_baseline=False"):
         assert key in meta
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", ["tdoped", "floquet", "compile"])
+def test_negative_seed_exit_two_names_seed(
+    command, workers, tmp_path, monkeypatch, capsys
+):
+    # validate() rejects it before any realization or worker starts
+    monkeypatch.setenv("STABMPO_WORKERS", workers)
+    out = tmp_path / "run"
+    code = main([command, "--n", "4", "--realizations", "1", "--chi", "8",
+                 "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()

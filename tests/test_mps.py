@@ -5,13 +5,14 @@ import pytest
 
 from conftest import (
     dense_entropy_bits,
-    evolve_mps_by_circuit,
     random_mps,
     random_pauli,
     random_state_vector,
     random_unitary,
 )
-from stabmpo.dense import GATE_1Q, GATE_2Q, apply_pauli, basis_state
+from stabmpo.clifford import CliffordCircuit, Gate, sample_brickwall
+from stabmpo.dense import GATE_1Q, GATE_2Q, apply_circuit, apply_pauli, basis_state
+from stabmpo.harness import apply_gates
 from stabmpo.mps import Mps, TruncationPolicy, cap_mpo, diagonal_mpo, inner
 from stabmpo.pauli import SIGMA, PauliString
 
@@ -331,6 +332,54 @@ def test_engine_exact_for_small_systems():
     ref = np.vdot(vec, apply_pauli(vec, p, n)).real
     assert m.expect_pauli(p) == pytest.approx(ref, abs=1e-8)
     assert np.max(np.abs(m.to_dense() - vec)) < 1e-8
+
+
+def random_adjacent_circuit(rng, n: int, length: int) -> CliffordCircuit:
+    """Random Clifford circuit whose two-qubit gates act on (a, a + 1)."""
+    gates = []
+    for _ in range(length):
+        if rng.random() < 0.5:
+            name = str(rng.choice(sorted(set(GATE_1Q) - {"T"})))
+            gates.append(Gate(name, (int(rng.integers(n)),)))
+        else:
+            a = int(rng.integers(n - 1))
+            gates.append(Gate(str(rng.choice(sorted(GATE_2Q))), (a, a + 1)))
+    return CliffordCircuit(n, tuple(gates))
+
+
+def test_apply_gates_matches_dense():
+    rng = np.random.default_rng(47)
+    n = 6
+    exact = TruncationPolicy(chi_max=2 ** (n // 2))
+    for circ in [sample_brickwall(n, 3, rng)] + [
+        random_adjacent_circuit(rng, n, 30) for _ in range(4)
+    ]:
+        bits = [int(b) for b in rng.integers(2, size=n)]
+        m, errs = apply_gates(Mps.product_state(bits), circ, exact)
+        vec = apply_circuit(basis_state(bits), circ)
+        assert len(errs) == sum(len(g.qubits) == 2 for g in circ.gates)
+        assert max(errs, default=0.0) == pytest.approx(0.0, abs=1e-14)
+        assert fidelity(m.to_dense(), vec) > 1.0 - 1e-10
+        p = random_pauli(rng, n)
+        ref = np.vdot(vec, apply_pauli(vec, p, n)).real
+        assert m.expect_pauli(p) == pytest.approx(ref, abs=1e-8)
+
+
+def test_apply_gates_reports_each_truncated_gate():
+    rng = np.random.default_rng(48)
+    n = 6
+    circ = sample_brickwall(n, 6, rng)
+    cut, errs = apply_gates(Mps.product_state([0] * n), circ, TruncationPolicy(2))
+    assert len(errs) == sum(len(g.qubits) == 2 for g in circ.gates)
+    assert min(errs) >= 0.0 and sum(errs) > 0.0
+    assert cut.max_bond == 2
+
+
+@pytest.mark.parametrize("qubits", [(0, 2), (1, 0), (0, 3)])
+def test_apply_gates_rejects_non_adjacent_two_qubit_gate(qubits):
+    circ = CliffordCircuit(4, (Gate("H", (0,)), Gate("CNOT", qubits)))
+    with pytest.raises(ValueError, match="adjacent"):
+        apply_gates(Mps.product_state([0] * 4), circ, EXACT8)
 
 
 def test_policy_validation():

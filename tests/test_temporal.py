@@ -192,7 +192,7 @@ def test_horizontal_trivial_layers_have_zero_temporal_entropy():
     circ = trivial_circuit(n, layers)
     res = horizontal_contract(circ, PauliString.single(n, 2, 3), [0] * n, EXACT)
     assert res.value == pytest.approx(1.0, abs=1e-10)
-    assert np.allclose(res.temporal_entropy_bits, 0.0, atol=1e-12)
+    assert np.allclose(res.entropy_bits, 0.0, atol=1e-12)
 
 
 def test_horizontal_identity_observable_gives_norm_one():
@@ -225,7 +225,21 @@ def test_horizontal_m0_direct_value():
     circ = trivial_circuit(n, [])
     res = horizontal_contract(circ, PauliString.single(n, 1, 3), [0, 1, 0], EXACT)
     assert res.value == pytest.approx(-1.0)
-    assert np.allclose(res.temporal_entropy_bits, 0.0)
+    assert np.allclose(res.entropy_bits, 0.0)
+
+    # every letter at a random site among I/Z letters, both signs, random bits
+    rng = np.random.default_rng(75)
+    for n in range(1, 6):
+        for letter in range(4):
+            for phase_exp in (0, 2):
+                letters = [3 * int(rng.integers(2)) for _ in range(n)]
+                letters[int(rng.integers(n))] = letter
+                obs = PauliString.from_letters(letters, phase_exp)
+                bits = [int(b) for b in rng.integers(2, size=n)]
+                res = horizontal_contract(trivial_circuit(n, []), obs, bits, EXACT)
+                ref = dense_oracle_run(n, [], bits, obs)
+                assert res.value == pytest.approx(ref, abs=1e-12)
+                assert res.entropy_bits == [0.0] * n
 
 
 def test_horizontal_entropy_profile_shape():
@@ -235,7 +249,34 @@ def test_horizontal_entropy_profile_shape():
     compiled = compile_blocks(n, blocks)
     obs = PauliString.single(n, 2, 3)
     res = horizontal_contract(compiled, obs, [0] * n, EXACT)
-    assert res.temporal_entropy_bits.shape == (n,)
+    assert np.shape(res.entropy_bits) == (n,)
+
+
+def test_contractions_record_one_entry_per_step():
+    # layers for the two layer-by-layer methods (identity layers included),
+    # columns for the horizontal sweep; the vertical fold records no entropy
+    n = 5
+    layers = [
+        StabMpoLayer(PauliString.from_literal("XZIYI"), 0.7),
+        StabMpoLayer(PauliString.identity(n), 0.9),
+        StabMpoLayer(PauliString.from_literal("-IIZXX"), 1.3),
+    ]
+    m = len(layers)
+    circ = trivial_circuit(n, layers)
+    obs = PauliString.single(n, 2, 3)
+    bits = [0, 1, 0, 0, 1]
+    lay = expectation(Mps.product_state(bits), circ, obs, EXACT)
+    vert = vertical_fold_evolve(circ, obs, bits, EXACT)
+    horiz = horizontal_contract(circ, obs, bits, EXACT)
+    assert [len(r.truncation) for r in (lay, vert, horiz)] == [m, m, n]
+    assert [len(r.entropy_bits) for r in (lay, vert, horiz)] == [m, 0, n]
+    assert lay.truncation[1] == vert.truncation[1] == 0.0
+    assert vert.value == pytest.approx(lay.value, abs=1e-10)
+    assert horiz.value == pytest.approx(lay.value, abs=1e-10)
+    # a chain that collapses at column 0 still gives n entropies
+    x_pi = trivial_circuit(2, [StabMpoLayer(PauliString.from_literal("XX"), pi)])
+    gone = horizontal_contract(x_pi, PauliString.single(2, 0, 1), [0, 0], EXACT)
+    assert gone.zero_state and gone.entropy_bits == [0.0, 0.0]
 
 
 def test_horizontal_pi_layer_with_x_observable_collapses_chain():
