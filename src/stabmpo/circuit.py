@@ -10,7 +10,8 @@ about a full Pauli string:
 where gamma is the (signed) pull-back of the rotation axis through the
 Cliffords accumulated so far and the sign is absorbed into theta_eff.
 Layers are bond-2 diagonal operators, so applying one to an MPS is one
-bond-2 operator application followed by compression.
+bond-2 operator application followed by compression, both restricted to
+the support window of gamma (its first to last non-identity letter).
 """
 
 from __future__ import annotations
@@ -216,8 +217,9 @@ def apply_layer(
 ) -> tuple[Mps, float]:
     """Apply one layer to an MPS: phi0 |m> + phi1 P|m>, then compressed.
 
-    An identity-string layer is a pure global phase and costs nothing.
-    Returns the new state and the discarded relative Schmidt weight.
+    Only the support window of gamma gets operator tensors.  An identity-
+    string layer is a pure global phase and costs nothing.  Returns the new
+    state and the discarded relative Schmidt weight.
     """
     if layer.gamma.n != m.n:
         raise ValueError("length mismatch")
@@ -226,8 +228,11 @@ def apply_layer(
         out = m.copy()
         out.tensors[0] = out.tensors[0] * phase
         return out, 0.0
-    ops = [_LAYER_SITES[layer.gamma.letter(j)] for j in range(m.n)]
-    return m.apply_mpo(cap_mpo(ops, [layer.phi0, layer.phi1], np.ones(2)), policy)
+    support = layer.gamma.support
+    lo, hi = support[0], support[-1]
+    ops = [_LAYER_SITES[layer.gamma.letter(j)] for j in range(lo, hi + 1)]
+    ops = cap_mpo(ops, [layer.phi0, layer.phi1], np.ones(2))
+    return m.apply_mpo([None] * lo + ops + [None] * (m.n - 1 - hi), policy)
 
 
 @dataclass

@@ -26,11 +26,12 @@ from .harness import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, simulates: bool = True) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--n", type=int, help="qubit count")
-    parser.add_argument("--chi", type=int, help="bond dimension cap")
-    parser.add_argument("--realizations", type=int, help="disorder realizations")
+    if simulates:  # compile writes realization 0 and truncates nothing
+        parser.add_argument("--chi", type=int, help="bond dimension cap")
+        parser.add_argument("--realizations", type=int, help="disorder realizations")
     parser.add_argument("--seed", type=int, help="64-bit master seed")
     parser.add_argument("--out", help="output directory")
 
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fl.add_argument("--periods", type=int, help="number of Floquet periods")
 
     p_cp = sub.add_parser("compile", help="sample blocks and write the compiled circuit")
-    _add_common(p_cp)
+    _add_common(p_cp, simulates=False)
     p_cp.add_argument("--m", type=int, dest="m_layers", help="number of blocks M")
     p_cp.add_argument("--d", type=int, dest="depth_d", help="brick-wall depth D")
 

@@ -4,7 +4,10 @@ Site tensors are order-3 arrays (left bond, physical, right bond) with
 boundary bonds of size 1.  The physical dimension defaults to 2 but is
 per-site, since the folded transfer-network reuses the same machinery
 with four-dimensional sites.  Operations return new objects; tensors are
-shared where untouched and treated as immutable by convention.
+shared where untouched and treated as immutable by convention.  A
+``center`` that is not None is the orthogonality center: sites left of it
+are left- and sites right of it right-isometric.  Operations keep that and
+use it to touch only the sites between it and their own span.
 
 ``log_norm`` is an external scale factor: the represented vector is
 exp(log_norm) times the contracted network.  It stays at zero for unitary
@@ -84,6 +87,8 @@ class Mps:
         self.log_norm = float(log_norm)
         self.center = center
         self.is_zero = bool(is_zero)
+        if center is not None and not 0 <= center < len(self.tensors):
+            raise ValueError(f"center {center} out of range")
         if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[2] != 1:
             raise ValueError("boundary bonds must have dimension 1")
         for a, b in zip(self.tensors, self.tensors[1:]):
@@ -227,37 +232,51 @@ class Mps:
         return Mps(tensors, work.log_norm, site + 1, work.is_zero), err
 
     def apply_mpo(
-        self, ops: list[np.ndarray], policy: TruncationPolicy
+        self, ops: list[np.ndarray | None], policy: TruncationPolicy
     ) -> tuple["Mps", float]:
         """Apply a matrix-product operator, then compress.
 
         ``ops[j]`` is the (left bond, out, in, right bond) tensor of site j,
-        with boundary bonds of size 1.  The merged bonds put the operator
-        bond major.  Returns the compressed state and its discarded weight.
+        or None for an identity site outside the capped span [lo, hi].  The
+        merged bonds put the operator bond major.  With a known center, the
+        center moves into [lo, hi] and only that window is swept; otherwise
+        the whole chain is.  Returns the compressed state and its discarded
+        weight.
         """
         if len(ops) != self.n:
             raise ValueError("operator length does not match the state")
-        new = []
-        for op, t in zip(ops, self.tensors):
-            merged = np.einsum("loiw,bir->lbowr", op, t)
+        sites = [j for j, op in enumerate(ops) if op is not None]
+        if not sites:
+            raise ValueError("operator has no sites")
+        work, lo, hi = self, 0, self.n - 1
+        if self.center is not None:
+            lo, hi = sites[0], sites[-1]
+            work = self.move_center(min(max(self.center, lo), hi))
+        tensors = list(work.tensors)
+        for j in sites:
+            merged = np.einsum("loiw,bir->lbowr", ops[j], tensors[j])
             wl, bl, o, wr, br = merged.shape
-            new.append(merged.reshape(wl * bl, o, wr * br))
-        return Mps(new, self.log_norm, None, self.is_zero).compress(policy)
+            tensors[j] = merged.reshape(wl * bl, o, wr * br)
+        return self._sweep(tensors, lo, hi, policy)
 
     # ------------------------------------------------------------------
     # compression
     # ------------------------------------------------------------------
     def compress(self, policy: TruncationPolicy) -> tuple["Mps", float]:
-        """Two-pass sweep: right-orthogonalize, then SVD-truncate left to right.
+        """Compress the whole chain; see ``_sweep``."""
+        return self._sweep(list(self.tensors), 0, self.n - 1, policy)
 
-        Returns the compressed state and the total discarded relative
-        Schmidt weight (sum over bonds).
+    def _sweep(self, tensors, lo: int, hi: int, policy) -> tuple["Mps", float]:
+        """Right-orthogonalize [lo, hi], then SVD-truncate it left to right.
+
+        Sites left of ``lo`` must be left- and sites right of ``hi`` right-
+        isometric, so every SVD sees Schmidt values; ``hi`` ends as center.
+        Returns the state and the discarded relative weight summed over bonds.
         """
-        tensors = list(self.tensors)
-        for i in range(self.n - 1, 0, -1):
+        for i in range(hi, lo, -1):
             self._orth_right(tensors, i)
         total_err = 0.0
-        for i in range(self.n - 1):
+        for i in range(lo, hi):
             dl, d, dr = tensors[i].shape
             uu, s, vh = np.linalg.svd(
                 tensors[i].reshape(dl * d, dr), full_matrices=False
@@ -268,16 +287,16 @@ class Mps:
             carry = s[:k, None] * vh[:k]
             tensors[i + 1] = np.tensordot(carry, tensors[i + 1], axes=(1, 0))
 
-        last = tensors[-1]
+        last = tensors[hi]
         nrm = float(np.linalg.norm(last))
         log_norm = self.log_norm
         is_zero = self.is_zero
         if nrm < ZERO_NORM_THRESHOLD:
             is_zero = True
         elif policy.renormalize:
-            tensors[-1] = last / nrm
+            tensors[hi] = last / nrm
             log_norm += float(np.log(nrm))
-        return Mps(tensors, log_norm, self.n - 1, is_zero), total_err
+        return Mps(tensors, log_norm, hi, is_zero), total_err
 
     # ------------------------------------------------------------------
     # measurements
@@ -305,14 +324,19 @@ class Mps:
         return s**2 / total
 
     def expect_pauli(self, p: PauliString) -> float:
-        """<psi|P|psi> / <psi|psi>, real for a Hermitian string."""
+        """<psi|P|psi> / <psi|psi>, real for a Hermitian string.
+
+        With a known center, only the sites from it to ``p``'s support count.
+        """
         if p.n != self.n:
             raise ValueError("length mismatch")
         if self.is_zero:
             return 0.0
-        num = np.ones((1, 1), dtype=np.complex128)
-        den = np.ones((1, 1), dtype=np.complex128)
-        for j in range(self.n):
+        c = self.center
+        span = (0, self.n - 1) if c is None else (c, *p.support)
+        lo, hi = min(span), max(span)
+        num = den = np.eye(self.tensors[lo].shape[0], dtype=np.complex128)
+        for j in range(lo, hi + 1):
             t = self.tensors[j]
             tmp = np.tensordot(num, t, axes=(1, 0))  # (a, d, r)
             mu = p.letter(j)
@@ -321,7 +345,7 @@ class Mps:
             num = np.tensordot(t.conj(), tmp, axes=((0, 1), (0, 1)))
             dt = np.tensordot(den, t, axes=(1, 0))
             den = np.tensordot(t.conj(), dt, axes=((0, 1), (0, 1)))
-        value = p.phase * num[0, 0] / den[0, 0]
+        value = p.phase * np.trace(num) / np.trace(den)
         if abs(value.imag) > 1e-10 * max(1.0, abs(value)):
             raise ValueError(f"expectation has imaginary residual {value.imag}")
         return float(value.real)

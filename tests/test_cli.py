@@ -119,6 +119,18 @@ def test_compile_subcommand_roundtrip(tmp_path):
     assert compiled.m == 4
 
 
+@pytest.mark.parametrize("flag", ["--chi", "--realizations"])
+def test_compile_rejects_simulation_flags(flag, tmp_path, capsys):
+    # compile samples and compiles realization 0; it neither truncates nor repeats
+    out = tmp_path / "circ.stabmpo"
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", "--n", "6", "--m", "3", "--seed", "2", flag, "7",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n=4\nepsilon=0.3\nperiods=2\nrealizations=1\nchi=8\nseed=5\n")
@@ -150,8 +162,8 @@ def test_negative_seed_exit_two_names_seed(
     # validate() rejects it before any realization or worker starts
     monkeypatch.setenv("STABMPO_WORKERS", workers)
     out = tmp_path / "run"
-    code = main([command, "--n", "4", "--realizations", "1", "--chi", "8",
-                 "--seed", "-1", "--out", str(out)])
+    run = [] if command == "compile" else ["--realizations", "1", "--chi", "8"]
+    code = main([command, "--n", "4", *run, "--seed", "-1", "--out", str(out)])
     assert code == 2
     assert "seed" in capsys.readouterr().err
     assert not out.exists()

@@ -1,5 +1,7 @@
 """Tensor-train engine against the dense statevector oracle."""
 
+from math import pi
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from conftest import (
     random_state_vector,
     random_unitary,
 )
+from stabmpo.circuit import StabMpoLayer, apply_layer
 from stabmpo.clifford import CliffordCircuit, Gate, sample_brickwall
 from stabmpo.dense import GATE_1Q, GATE_2Q, apply_circuit, apply_pauli, basis_state
 from stabmpo.harness import apply_gates
@@ -235,6 +238,123 @@ def test_compress_renormalize_tracks_log_norm():
     out, err = m.compress(TruncationPolicy(chi_max=2, renormalize=True))
     assert out.raw_norm() == pytest.approx(1.0, abs=1e-10)
     assert out.norm() == pytest.approx(np.sqrt(max(1.0 - err, 0.0)), abs=0.05)
+
+
+# ----------------------------------------------------------------------
+# canonical center and window-local layers
+# ----------------------------------------------------------------------
+def assert_canonical(m: Mps) -> None:
+    """Every site left of the center is left-, every site right of it right-isometric."""
+    assert m.center is not None
+    for i, t in enumerate(m.tensors):
+        dl, d, dr = t.shape
+        if i < m.center:
+            mat = t.reshape(dl * d, dr)
+            assert np.max(np.abs(mat.conj().T @ mat - np.eye(dr))) < 1e-12, i
+        elif i > m.center:
+            mat = t.reshape(dl, d * dr)
+            assert np.max(np.abs(mat @ mat.conj().T - np.eye(dl))) < 1e-12, i
+
+
+def narrow_layer(rng, n: int, lo: int, hi: int) -> StabMpoLayer:
+    """Random layer whose first and last non-identity letters sit at lo and hi."""
+    letters = [0] * n
+    for j in range(lo, hi + 1):
+        letters[j] = int(rng.integers(1 if j in (lo, hi) else 0, 4))
+    gamma = PauliString.from_letters(letters, 2 * int(rng.integers(2)))
+    return StabMpoLayer(gamma, float(rng.uniform(0, 2 * pi)))
+
+
+def test_init_rejects_center_out_of_range():
+    tensors = Mps.product_state([0, 0, 0]).tensors
+    for center in (-1, 3, 10):
+        with pytest.raises(ValueError, match="center"):
+            Mps(tensors, center=center)
+    assert Mps(tensors, center=2).center == 2
+
+
+def test_center_invariant_after_every_operation():
+    rng = np.random.default_rng(60)
+    n = 8
+    m = Mps.product_state([0, 1] * 4)
+    assert_canonical(m)
+    m = m.apply_1q_gate(random_unitary(rng, 2), 5)
+    assert_canonical(m)
+    for site in (2, 6, 0, 4):
+        m, _ = m.apply_2q_gate(random_unitary(rng, 4), site, EXACT8)
+        assert_canonical(m)
+    m = random_mps(rng, n)
+    errs = []
+    for policy in (EXACT8, TruncationPolicy(chi_max=3)):
+        for lo, hi in ((1, 3), (4, 7), (0, 2), (5, 5), (2, 6)):
+            m, err = apply_layer(m, narrow_layer(rng, n, lo, hi), policy)
+            assert_canonical(m)
+            assert m.center == hi
+            errs.append(err)
+    assert max(errs[:5]) < 1e-14 < max(errs[5:]), "truncated layers cut nothing"
+    m, _ = apply_layer(m, StabMpoLayer(PauliString.from_letters([0] * n), 0.7), EXACT8)
+    assert_canonical(m)
+    for policy in (TruncationPolicy(chi_max=2), TruncationPolicy(2, renormalize=True)):
+        out, _ = m.compress(policy)
+        assert_canonical(out)
+        assert out.center == n - 1
+
+
+@pytest.mark.parametrize("where", ["front", "inside", "behind"])
+def test_window_layer_matches_full_chain_and_dense(where):
+    rng = np.random.default_rng({"front": 61, "inside": 62, "behind": 63}[where])
+    for n in (4, 7, 10):
+        policy = TruncationPolicy(chi_max=2**n, svd_cutoff=0.0)
+        for _ in range(4):
+            lo = int(rng.integers(1, n - 1))
+            hi = int(rng.integers(lo, min(lo + 3, n - 1)))
+            center = {
+                "front": int(rng.integers(0, lo)),
+                "inside": int(rng.integers(lo, hi + 1)),
+                "behind": int(rng.integers(hi + 1, n)),
+            }[where]
+            state = random_mps(rng, n).move_center(center)
+            layer = narrow_layer(rng, n, lo, hi)
+            window, err = apply_layer(state, layer, policy)
+            full, err_full = apply_layer(Mps(state.tensors), layer, policy)
+            want = layer.to_dense() @ state.to_dense()
+            assert (window.center, full.center) == (hi, n - 1)
+            assert err == err_full == 0.0
+            assert np.max(np.abs(window.to_dense() - full.to_dense())) < 1e-12
+            assert np.max(np.abs(window.to_dense() - want)) < 1e-12
+
+
+def test_local_expect_pauli_matches_full_contraction():
+    rng = np.random.default_rng(64)
+    for n in (3, 6, 9):
+        m = random_mps(rng, n)
+        strings = [random_pauli(rng, n) for _ in range(4)]
+        strings += [PauliString.single(n, int(rng.integers(n)), 2), PauliString(n, 0, 0)]
+        for center in range(n):
+            state = m.move_center(center)
+            full = Mps(state.tensors)
+            for p in strings:
+                assert abs(state.expect_pauli(p) - full.expect_pauli(p)) < 1e-12
+
+
+def test_lossy_window_layer_reports_dense_fidelity_loss():
+    # the reported discarded weight of one window-local layer is the dense 1 - F
+    rng = np.random.default_rng(88)
+    n = 8
+    state = Mps.product_state([0] * n)
+    for _ in range(8):
+        gamma = PauliString.from_letters([int(rng.integers(4)) for _ in range(n)])
+        state, _ = apply_layer(state, StabMpoLayer(gamma, 0.35), EXACT8)
+    layer = StabMpoLayer(PauliString.from_letters([0, 0, 1, 3, 2, 1, 0, 0]), 0.35)
+    for center in (0, 4, 7):
+        before = state.move_center(center)
+        out, reported = apply_layer(
+            before, layer, TruncationPolicy(chi_max=2**n, svd_cutoff=3e-4)
+        )
+        assert out.center == 5
+        f = fidelity(out.to_dense(), layer.to_dense() @ before.to_dense())
+        assert reported > 1e-9, "test layer was not actually truncated"
+        assert abs((1.0 - f) - reported) <= 1e-8
 
 
 # ----------------------------------------------------------------------
