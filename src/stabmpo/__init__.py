@@ -32,6 +32,7 @@ from .circuit import (
     transform_observable,
 )
 from .clifford import (
+    Brick,
     CliffordCircuit,
     CliffordTableau,
     Gate,
@@ -59,6 +60,7 @@ from .temporal import (
 )
 
 __all__ = [
+    "Brick",
     "CliffordCircuit",
     "CliffordTableau",
     "Contraction",

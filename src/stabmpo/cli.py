@@ -128,7 +128,7 @@ def main(argv=None) -> int:
             cfg = config_from_sources(
                 TDopedConfig, file_values, _collect(args, TDopedConfig)
             )
-            cfg.validate()
+            cfg.validate_circuit()  # compile reads no chi, realizations or observable
             rng = realization_rng(cfg.seed, 0)
             blocks = sample_tdoped_blocks(cfg.n, cfg.m_layers, cfg.depth_d, rng)
             compiled = compile_blocks(cfg.n, blocks)

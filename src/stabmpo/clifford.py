@@ -11,14 +11,15 @@ rewrites only the rows of its qubits (``append_to_inverse``), and
 ``CliffordTableau.from_inverse`` builds the forward rows from them only when
 read.  The module also provides the circuit container, its line-oriented
 serialization, and the two samplers used by the experiment drivers:
-brick-wall layers of uniformly random two-qubit Cliffords (drawn by index
-from an exhaustive canonical enumeration of all 11520 elements) and random
-U(1)-symmetric Cliffords in CZ / phase-power / permutation form.
+brick-wall layers of uniformly random two-qubit Cliffords and random
+U(1)-symmetric Cliffords in CZ / phase-power / permutation form.  A sampled
+two-qubit Clifford stays one element, a ``Brick`` that carries its index in
+an exhaustive enumeration of all 11520 elements; its rules read the packed
+images of the element and of its inverse, which the enumeration stores.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -38,6 +39,17 @@ class Gate(NamedTuple):
     qubits: tuple[int, ...]
 
 
+class Brick(NamedTuple):
+    """Element ``index`` of ``two_qubit_clifford_sequences()`` on qubits (a, b).
+
+    Qubit a plays qubit 0 of the element's gate sequence, qubit b qubit 1.
+    """
+
+    index: int
+    qubits: tuple[int, int]
+    name = "C2"
+
+
 GATE_ARITY = {
     "H": 1,
     "S": 1,
@@ -52,19 +64,33 @@ GATE_ARITY = {
 _INVERSE_NAME = {"S": "SDG", "SDG": "S"}
 
 
-def _check_gate(name: str, qubits: tuple[int, ...]) -> None:
-    if name not in GATE_ARITY:
+def _check_gate(g: Gate | Brick) -> None:
+    name, qubits = g.name, g.qubits
+    if isinstance(g, Brick):
+        count = TWO_QUBIT_CLIFFORD_COUNT
+        if type(g.index) is not int or not 0 <= g.index < count:
+            raise ValueError(f"C2 index must be an int in [0, {count}), got {g.index!r}")
+        arity = 2
+    elif name in GATE_ARITY:
+        arity = GATE_ARITY[name]
+    else:
         raise ValueError(f"unsupported gate {name!r}")
-    if len(qubits) != GATE_ARITY[name]:
-        raise ValueError(f"{name} expects {GATE_ARITY[name]} qubit(s)")
-    if len(set(qubits)) != len(qubits):
+    if len(qubits) != arity:
+        raise ValueError(f"{name} expects {arity} qubit(s)")
+    if len(set(qubits)) != arity:
         raise ValueError(f"{name} qubits must be distinct")
 
 
 def gate(name: str, *qubits: int) -> Gate:
-    name = name.upper()
-    _check_gate(name, qubits)
-    return Gate(name, tuple(qubits))
+    g = Gate(name.upper(), tuple(qubits))
+    _check_gate(g)
+    return g
+
+
+def _inverse_gate(g: Gate | Brick) -> Gate | Brick:
+    if isinstance(g, Brick):
+        return Brick(_enumeration().inverse[g.index], g.qubits)
+    return Gate(_INVERSE_NAME.get(g.name, g.name), g.qubits)
 
 
 @dataclass(frozen=True)
@@ -72,31 +98,31 @@ class CliffordCircuit:
     """Ordered gate list; gates[0] acts first."""
 
     n: int
-    gates: tuple[Gate, ...] = ()
+    gates: tuple[Gate | Brick, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            _check_gate(g.name, g.qubits)
-            if any(not 0 <= q < self.n for q in g.qubits):
+            _check_gate(g)
+            if min(g.qubits) < 0 or max(g.qubits) >= self.n:
                 raise ValueError(f"gate {g} out of range for n={self.n}")
 
     def inverse(self) -> "CliffordCircuit":
-        inv = tuple(
-            Gate(_INVERSE_NAME.get(g.name, g.name), g.qubits)
-            for g in reversed(self.gates)
-        )
-        return CliffordCircuit(self.n, inv)
+        """The inverse circuit; a brick's inverse is exact up to global phase."""
+        return CliffordCircuit(self.n, tuple(map(_inverse_gate, reversed(self.gates))))
 
     def __add__(self, other: "CliffordCircuit") -> "CliffordCircuit":
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
         return CliffordCircuit(self.n, self.gates + other.gates)
 
-    # line-oriented text format: header "qubits N", one gate per line
+    # line-oriented text format: header "qubits N", one gate per line;
+    # a brick is "C2 <index> <a> <b>"
     def to_text(self) -> str:
         lines = [f"qubits {self.n}"]
-        lines += [" ".join((g.name, *map(str, g.qubits))) for g in self.gates]
+        for g in self.gates:
+            args = (g.index, *g.qubits) if isinstance(g, Brick) else g.qubits
+            lines.append(" ".join((g.name, *map(str, args))))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -105,8 +131,14 @@ class CliffordCircuit:
         n = _header_count(lines[0] if lines else "")
         gates = []
         for ln in lines[1:]:
-            parts = ln.split()
-            gates.append(gate(parts[0], *map(int, parts[1:])))
+            name, *args = ln.split()
+            ints = tuple(map(int, args))
+            if name.upper() == Brick.name:
+                if len(ints) != 3:
+                    raise ValueError(f"C2 expects an index and 2 qubits, got {ln!r}")
+                gates.append(Brick(ints[0], ints[1:]))
+            else:
+                gates.append(gate(name, *ints))
         return cls(n, tuple(gates))
 
 
@@ -122,12 +154,45 @@ def _header_count(line: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# elementary conjugation rules on packed (x, z, phase) triples
+# conjugation rules on packed (x, z, phase) triples
 # ----------------------------------------------------------------------
-def _conjugate_bits(x: int, z: int, phase: int, g: Gate) -> Row:
-    """Forward-conjugate the packed string by one elementary gate."""
+def _mul6(u, v):
+    """Product u v of two-qubit strings packed in 6 bits (ints or int arrays).
+
+    Bits 0-1 hold the x bits of qubits 0 and 1, bits 2-3 the z bits and
+    bits 4-5 the phase exponent of i, the layout of a packed row.
+    """
+    w = (u >> 2) & v & 3  # Z of u met by X of v
+    phase = (u >> 4) + (v >> 4) + 2 * ((w & 1) + (w >> 1))
+    return (u ^ v) & 15 | (phase & 3) << 4
+
+
+def _local_image(state: int, u: int) -> int:
+    """Image of the 6-bit string u under the two-qubit element ``state``.
+
+    A state packs the 6-bit images of X0, X1, Z0 and Z1 in that order, and
+    the string i^p X0^x0 X1^x1 Z0^z0 Z1^z1 maps to the product of its
+    factors' images.
+    """
+    out = u & 48
+    for k in range(4):
+        if u >> k & 1:
+            out = _mul6(out, state >> 6 * k & 63)
+    return out
+
+
+def _conjugate_bits(x: int, z: int, phase: int, g: Gate | Brick) -> Row:
+    """Forward-conjugate the packed string by one gate."""
     name = g.name
-    if name == "H":
+    if name == "C2":
+        a, b = g.qubits
+        u = (x >> a & 1) | (x >> b & 1) << 1 | (z >> a & 1) << 2 | (z >> b & 1) << 3
+        v = _local_image(_enumeration().states[g.index], u)
+        m = ~((1 << a) | (1 << b))
+        x = x & m | (v & 1) << a | (v >> 1 & 1) << b
+        z = z & m | (v >> 2 & 1) << a | (v >> 3 & 1) << b
+        phase += v >> 4
+    elif name == "H":
         q = g.qubits[0]
         m = 1 << q
         xb, zb = x & m, z & m
@@ -212,15 +277,15 @@ def append_to_inverse(rows: list[Row], circ: CliffordCircuit) -> None:
     Appending g to C prepends g^dag to C^dag, since (g C)^dag P (g C) =
     C^dag (g^dag P g) C; gates are taken in circuit order.  Prepending h to
     a tableau T makes the row of a generator G the image T(h G h^dag), so
-    only the rows X_q and Z_q of h's qubits change.  Every new row is
-    computed from the old rows before any of them is written back.
+    only the rows X_q and Z_q of h's qubits change: the four rows of a brick's
+    two qubits, rewritten once from the packed images of its inverse.  Every
+    new row is computed from the old rows before any of them is written back.
     """
     n = circ.n
     if len(rows) != 2 * n:
         raise ValueError("qubit count mismatch")
     for g in circ.gates:
-        if g.name in _INVERSE_NAME:
-            g = Gate(_INVERSE_NAME[g.name], g.qubits)
+        g = _inverse_gate(g)
         new = []
         for q in g.qubits:
             m = 1 << q
@@ -401,15 +466,43 @@ class CliffordTableau:
 # ----------------------------------------------------------------------
 # exhaustive two-qubit Clifford enumeration
 # ----------------------------------------------------------------------
+class _Enumeration(NamedTuple):
+    sequences: tuple[tuple[Gate, ...], ...]
+    states: tuple[int, ...]  # packed 6-bit images of X0, X1, Z0, Z1
+    inverse: tuple[int, ...]  # index of each element's inverse
+
+
+def _inverse_states(states: np.ndarray) -> np.ndarray:
+    """Packed states of the inverses of all two-qubit elements at once.
+
+    The bits are the symplectic inverse, as in ``_symplectic_inverse``: the
+    inverse image of X_q has x bit j where the image of Z_j has z bit q, and
+    z bit j where the image of X_j has z bit q; for Z_q read the x bits.
+    Its phase makes the forward image +X_q or +Z_q.
+    """
+    img = [(states >> 6 * k) & 63 for k in range(4)]
+    out = np.zeros_like(states)
+    for k in range(4):
+        shift = (2 if k < 2 else 0) + (k & 1)
+        bit = [(im >> shift) & 1 for im in img]
+        x, z = bit[2] | bit[3] << 1, bit[0] | bit[1] << 1
+        phase = (x & z & 1) + (x & z) // 2
+        fwd = phase << 4
+        for j, on in enumerate((x & 1, x >> 1, z & 1, z >> 1)):
+            fwd = np.where(on == 1, _mul6(fwd, img[j]), fwd)
+        out |= (x | z << 2 | ((phase + (fwd >> 4)) & 3) << 4) << 6 * k
+    return out
+
+
 @lru_cache(maxsize=1)
-def two_qubit_clifford_sequences() -> tuple[tuple[Gate, ...], ...]:
-    """Gate realizations of all 11520 two-qubit Cliffords (on qubits 0,1).
+def _enumeration() -> _Enumeration:
+    """All 11520 two-qubit Cliffords, their packed images and inverses.
 
     Built once by breadth-first closure over {H, S, CNOT} generators and
-    deduplicated by canonical tableau form (i.e. up to global phase).  The
-    BFS order is deterministic, so index i always denotes the same element.
-    A state is the packed ``(x, z, phase % 4)`` rows of X0, X1, Z0, Z1;
-    it is its own dedup key, the same as ``CliffordTableau.key()``.
+    deduplicated by the packed images (i.e. up to global phase).  A state
+    is one int: the four 6-bit images, each packed as in ``_mul6``, so one
+    64-entry table per generator maps a state to the next.  The BFS order
+    is deterministic, so index i always denotes the same element.
     """
     generators = (
         Gate("H", (0,)),
@@ -418,36 +511,38 @@ def two_qubit_clifford_sequences() -> tuple[tuple[Gate, ...], ...]:
         Gate("S", (1,)),
         Gate("CNOT", (0, 1)),
     )
-    start = CliffordTableau.identity(2).rows
-    seen = {start}
-    order: list[tuple[Gate, ...]] = [()]
-    queue: deque[tuple[tuple, tuple[Gate, ...]]] = deque([(start, ())])
-    while queue:
-        state, seq = queue.popleft()
-        for g in generators:
-            nxt = tuple(
-                (x, z, phase % 4)
-                for x, z, phase in (_conjugate_bits(*img, g) for img in state)
-            )
-            if nxt not in seen:
-                s = seq + (g,)
-                seen.add(nxt)
-                order.append(s)
-                queue.append((nxt, s))
-    if len(order) != TWO_QUBIT_CLIFFORD_COUNT:
+    tables = []
+    for g in generators:
+        rows = (_conjugate_bits(u & 3, u >> 2 & 3, u >> 4, g) for u in range(64))
+        tables.append((g, [x | z << 2 | (ph & 3) << 4 for x, z, ph in rows]))
+    start = 1 | 2 << 6 | 4 << 12 | 8 << 18
+    index = {start: 0}
+    states = [start]
+    sequences: list[tuple[Gate, ...]] = [()]
+    for state, seq in zip(states, sequences):  # both grow while iterated
+        x0, x1, z0, z1 = state & 63, state >> 6 & 63, state >> 12 & 63, state >> 18
+        for g, t in tables:
+            nxt = t[x0] | t[x1] << 6 | t[z0] << 12 | t[z1] << 18
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+                sequences.append(seq + (g,))
+    if len(states) != TWO_QUBIT_CLIFFORD_COUNT:
         raise AssertionError(
-            f"two-qubit Clifford enumeration found {len(order)} elements"
+            f"two-qubit Clifford enumeration found {len(states)} elements"
         )
-    return tuple(order)
+    inverse = [index[s] for s in _inverse_states(np.array(states, dtype=np.int64)).tolist()]
+    return _Enumeration(tuple(sequences), tuple(states), tuple(inverse))
 
 
-def sample_two_qubit_clifford(rng: np.random.Generator, pair: tuple[int, int]) -> list[Gate]:
-    """Uniformly random two-qubit Clifford as gates on the given qubit pair."""
-    table = two_qubit_clifford_sequences()
-    seq = table[int(rng.integers(len(table)))]
-    a, b = pair
-    remap = (a, b)
-    return [Gate(g.name, tuple(remap[q] for q in g.qubits)) for g in seq]
+def two_qubit_clifford_sequences() -> tuple[tuple[Gate, ...], ...]:
+    """Gate realizations of all 11520 two-qubit Cliffords (on qubits 0,1).
+
+    Index i is element i of the enumeration: ``Brick(i, (a, b))`` acts as
+    sequence i with qubit 0 on a and qubit 1 on b.  The first call builds
+    everything the bricks read.
+    """
+    return _enumeration().sequences
 
 
 def sample_brickwall(
@@ -459,19 +554,20 @@ def sample_brickwall(
     """Brick-wall circuit of ``depth_d`` sublayers of random 2q Cliffords.
 
     Sublayer k (1-based) pairs (i, i+1) at even offsets for odd k and odd
-    offsets for even k, open boundaries, leftover qubit idle.
-    ``start_parity`` shifts the alternation so consecutive circuits can
-    continue a single brick wall.
+    offsets for even k, open boundaries, leftover qubit idle.  Each pair
+    gets one uniformly random ``Brick``.  ``start_parity`` shifts the
+    alternation so consecutive circuits can continue a single brick wall.
     """
     if n < 2:
         raise ValueError("brick wall needs n >= 2")
     if depth_d < 1:
         raise ValueError("depth must be >= 1")
-    gates: list[Gate] = []
+    gates: list[Brick] = []
     for k in range(depth_d):
         offset = (start_parity + k) % 2
         for i in range(offset, n - 1, 2):
-            gates.extend(sample_two_qubit_clifford(rng, (i, i + 1)))
+            index = int(rng.integers(TWO_QUBIT_CLIFFORD_COUNT))
+            gates.append(Brick(index, (i, i + 1)))
     return CliffordCircuit(n, tuple(gates))
 
 

@@ -8,8 +8,11 @@ by the oracle size cap.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
+from .clifford import Brick, two_qubit_clifford_sequences
 from .mps import basis_bits
 from .pauli import ORACLE_CAP, SIGMA, OracleCapError, PauliString
 
@@ -80,13 +83,39 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, sites, n: int) -> np.ndarray
     return work.reshape(state.shape)
 
 
+@lru_cache(maxsize=None)
+def brick_unitary(index: int) -> np.ndarray:
+    """4x4 unitary of two-qubit Clifford ``index``, built once and cached.
+
+    The product of its gate sequence's matrices, with the sequence's qubit 0
+    (a brick's first qubit) as the most significant bit.  Read-only.
+    """
+    u = np.eye(4, dtype=np.complex128)
+    for g in two_qubit_clifford_sequences()[index]:
+        u = _pair_matrix(g) @ u
+    u.flags.writeable = False
+    return u
+
+
+@lru_cache(maxsize=None)
+def _pair_matrix(gate) -> np.ndarray:
+    """4x4 matrix of an elementary gate on qubits (0, 1), qubit 0 the MSB."""
+    return apply_gate(np.eye(4, dtype=np.complex128), gate, 2)
+
+
+def gate_matrix(gate) -> np.ndarray:
+    """Matrix of a gate on its qubits in order, the first the most significant bit."""
+    if isinstance(gate, Brick):
+        return brick_unitary(gate.index)
+    if gate.name in GATE_1Q:
+        return GATE_1Q[gate.name]
+    if gate.name in GATE_2Q:
+        return GATE_2Q[gate.name]
+    raise ValueError(f"unknown gate {gate.name!r}")
+
+
 def apply_gate(state: np.ndarray, gate, n: int) -> np.ndarray:
-    name, qubits = gate
-    if name in GATE_1Q:
-        return apply_unitary(state, GATE_1Q[name], qubits, n)
-    if name in GATE_2Q:
-        return apply_unitary(state, GATE_2Q[name], qubits, n)
-    raise ValueError(f"unknown gate {name!r}")
+    return apply_unitary(state, gate_matrix(gate), gate.qubits, n)
 
 
 def apply_circuit(state: np.ndarray, circuit) -> np.ndarray:

@@ -36,7 +36,7 @@ from .clifford import (
     sample_brickwall,
     sample_u1_clifford,
 )
-from .dense import GATE_1Q, GATE_2Q, rotation_matrix, run_blocks
+from .dense import GATE_2Q, gate_matrix, rotation_matrix, run_blocks
 from .dense import expectation as dense_expectation
 from .mps import Mps, TruncationPolicy, basis_bits
 from .pauli import PauliString
@@ -71,8 +71,9 @@ class TDopedConfig:
     run_baseline: bool = False
     run_temporal: bool = False
 
-    def validate(self) -> None:
-        if min(self.n, self.depth_d, self.chi, self.realizations) < 1:
+    def validate_circuit(self) -> None:
+        """Check the fields that sampling a circuit reads: n, m_layers, depth_d, seed."""
+        if min(self.n, self.depth_d) < 1:
             raise ValueError("all counts must be >= 1")
         if self.seed < 0:  # numpy rejects a negative entry of [seed, realization]
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -81,6 +82,11 @@ class TDopedConfig:
             raise ValueError("m_layers must be >= 0")
         if self.n < 2:
             raise ValueError("need n >= 2")
+
+    def validate(self) -> None:
+        if min(self.chi, self.realizations) < 1:
+            raise ValueError("all counts must be >= 1")
+        self.validate_circuit()
         obs = self.observable_pauli()
         if not obs.is_hermitian:
             raise ValueError("observable must be Hermitian")
@@ -279,13 +285,14 @@ def apply_gates(state: Mps, circ, policy: TruncationPolicy) -> tuple[Mps, list[f
     """
     errs = []
     for g in circ.gates:
-        if g.name in GATE_1Q:
-            state = state.apply_1q_gate(GATE_1Q[g.name], g.qubits[0])
+        u = gate_matrix(g)
+        if len(g.qubits) == 1:
+            state = state.apply_1q_gate(u, g.qubits[0])
             continue
         a, b = g.qubits
         if b != a + 1:
             raise ValueError(f"gate {g.name} on {g.qubits} is not on adjacent qubits")
-        state, err = state.apply_2q_gate(GATE_2Q[g.name], a, policy)
+        state, err = state.apply_2q_gate(u, a, policy)
         errs.append(err)
     return state, errs
 

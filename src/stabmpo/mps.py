@@ -185,6 +185,8 @@ class Mps:
     # local operations
     # ------------------------------------------------------------------
     def apply_1q_gate(self, u: np.ndarray, site: int) -> "Mps":
+        if not 0 <= site < self.n:
+            raise ValueError("gate site out of range")
         u = np.asarray(u, dtype=np.complex128)
         if u.shape != (2, 2):
             raise ValueError("1q gate must be 2x2")

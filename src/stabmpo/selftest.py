@@ -11,10 +11,12 @@ import numpy as np
 
 from .circuit import compile_blocks, expectation
 from .clifford import (
+    Brick,
     CliffordCircuit,
     CliffordTableau,
     Gate,
     TWO_QUBIT_CLIFFORD_COUNT,
+    append_to_inverse,
     sample_brickwall,
     sample_u1_clifford,
     two_qubit_clifford_sequences,
@@ -84,6 +86,24 @@ def _check_tableau_vs_dense(rng) -> None:
 def _check_enumeration() -> None:
     count = len(two_qubit_clifford_sequences())
     _require(count == TWO_QUBIT_CLIFFORD_COUNT, f"enumeration has {count} elements")
+
+
+def _check_bricks(rng) -> None:
+    """Seeded bricks on random pairs: dense 4x4 against tableau conjugation."""
+    n = 3
+    for _ in range(30):
+        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+        index = int(rng.integers(TWO_QUBIT_CLIFFORD_COUNT))
+        circ = CliffordCircuit(n, (Brick(index, (a, b)),))
+        tab = CliffordTableau.from_circuit(circ)
+        rows = list(CliffordTableau.identity(n).rows)
+        append_to_inverse(rows, circ)
+        _require(CliffordTableau(n, rows) == tab.inverse(), "brick rows of C^dag differ")
+        u = circuit_unitary(circ)
+        for p in [_random_pauli(rng, n).unsigned() for _ in range(4)]:
+            img = tab.conjugate(p, "forward")
+            ok = np.allclose(img.to_dense(), u @ p.to_dense() @ u.conj().T, atol=1e-10)
+            _require(ok, f"brick {index} on {(a, b)}: image differs from dense")
 
 
 def _check_u1_certificates(rng) -> None:
@@ -171,6 +191,7 @@ CHECKS = (
     ("folded-site-tensors-vs-dense", _check_folded_sites),
     ("cross-method-expectation", _check_cross_methods),
     ("mps-gates-vs-dense", _check_mps_exactness),
+    ("two-qubit-clifford-bricks-vs-dense", _check_bricks),
 )
 
 

@@ -11,7 +11,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from stabmpo.clifford import CliffordCircuit, Gate
+from stabmpo.clifford import Brick, CliffordCircuit, Gate, two_qubit_clifford_sequences
 from stabmpo.mps import Mps, TruncationPolicy
 from stabmpo.pauli import PauliString
 
@@ -36,6 +36,20 @@ def random_clifford_circuit(rng, n: int, length: int) -> CliffordCircuit:
             a, b = rng.choice(n, size=2, replace=False)
             gates.append(Gate(name, (int(a), int(b))))
     return CliffordCircuit(n, tuple(gates))
+
+
+def expand_bricks(circ: CliffordCircuit) -> CliffordCircuit:
+    """The circuit with each brick replaced by its enumeration gate sequence."""
+    seqs = two_qubit_clifford_sequences()
+    gates = []
+    for g in circ.gates:
+        if isinstance(g, Brick):
+            gates += [
+                Gate(h.name, tuple(g.qubits[q] for q in h.qubits)) for h in seqs[g.index]
+            ]
+        else:
+            gates.append(g)
+    return CliffordCircuit(circ.n, tuple(gates))
 
 
 def random_state_vector(rng, n: int) -> np.ndarray:

@@ -131,6 +131,17 @@ def test_compile_rejects_simulation_flags(flag, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_compile_config_reads_only_circuit_fields(tmp_path):
+    # chi and realizations mean nothing to compile, even when a config sets them
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("chi=0\nrealizations=0\n")
+    plain, configured = tmp_path / "plain.stabmpo", tmp_path / "configured.stabmpo"
+    args = ["--n", "6", "--m", "3", "--seed", "2"]
+    assert main(["compile", *args, "--out", str(plain)]) == 0
+    assert main(["compile", "--config", str(cfg), *args, "--out", str(configured)]) == 0
+    assert configured.read_bytes() == plain.read_bytes()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n=4\nepsilon=0.3\nperiods=2\nrealizations=1\nchi=8\nseed=5\n")

@@ -5,18 +5,20 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import random_clifford_circuit, random_pauli
+from conftest import expand_bricks, random_clifford_circuit, random_pauli
 from stabmpo.clifford import (
     TWO_QUBIT_CLIFFORD_COUNT,
+    Brick,
     CliffordCircuit,
     CliffordTableau,
     Gate,
+    append_to_inverse,
     gate,
     sample_brickwall,
     sample_u1_clifford,
     two_qubit_clifford_sequences,
 )
-from stabmpo.dense import circuit_unitary
+from stabmpo.dense import GATE_1Q, GATE_2Q, apply_circuit, brick_unitary, circuit_unitary
 from stabmpo.pauli import PauliString, pauli_coefficient
 
 
@@ -224,17 +226,132 @@ def test_brickwall_two_qubit_clifford_uniform():
     # n=2, D=1 emits one uniformly random element of the 11520-element group;
     # count samples per element and apply a 5-sigma multinomial bound.
     seqs = two_qubit_clifford_sequences()
-    index_of = {seq: i for i, seq in enumerate(seqs)}
     samples = 1_000_000
     rng = np.random.default_rng(21)
     counts = np.zeros(len(seqs), dtype=np.int64)
     for _ in range(samples):
         circ = sample_brickwall(2, 1, rng)
-        counts[index_of[circ.gates]] += 1
+        (brick,) = circ.gates
+        counts[brick.index] += 1
     p = 1.0 / len(seqs)
     mean = samples * p
     sigma = np.sqrt(samples * p * (1 - p))
     assert np.max(np.abs(counts - mean)) <= 5 * sigma
+
+
+# ----------------------------------------------------------------------
+# bricks: one gate per sampled two-qubit Clifford
+# ----------------------------------------------------------------------
+def test_every_brick_matches_its_expanded_sequence():
+    # on the reversed pair (2, 0) of a random 3-qubit Clifford, so the rows
+    # outside the pair and the order of its qubits both count
+    rng = np.random.default_rng(61)
+    base = CliffordTableau.from_circuit(random_clifford_circuit(rng, 3, 12))
+    inv_rows = base.inverse().rows
+    for i in range(TWO_QUBIT_CLIFFORD_COUNT):
+        brick = CliffordCircuit(3, (Brick(i, (2, 0)),))
+        expanded = expand_bricks(brick)
+        assert base.apply_circuit(brick) == base.apply_circuit(expanded)
+        got, want = list(inv_rows), list(inv_rows)
+        append_to_inverse(got, brick)
+        append_to_inverse(want, expanded)
+        assert got == want
+
+
+def test_every_brick_unitary_is_its_sequence_up_to_phase():
+    # the reference multiplies Kronecker products, a path brick_unitary does not take
+    seqs = two_qubit_clifford_sequences()
+    one = np.eye(2)
+    local = {
+        Gate("H", (0,)): np.kron(GATE_1Q["H"], one),
+        Gate("H", (1,)): np.kron(one, GATE_1Q["H"]),
+        Gate("S", (0,)): np.kron(GATE_1Q["S"], one),
+        Gate("S", (1,)): np.kron(one, GATE_1Q["S"]),
+        Gate("CNOT", (0, 1)): GATE_2Q["CNOT"],
+    }
+    ref = np.tile(np.eye(4, dtype=np.complex128), (len(seqs), 1, 1))
+    for t in range(max(map(len, seqs))):
+        for g, mat in local.items():
+            rows = [i for i, seq in enumerate(seqs) if len(seq) > t and seq[t] == g]
+            ref[rows] = mat @ ref[rows]
+    got = np.array([brick_unitary(i) for i in range(len(seqs))])
+    phase = np.einsum("kij,kij->k", ref.conj(), got) / 4
+    assert np.allclose(np.abs(phase), 1.0, atol=1e-12)
+    assert np.max(np.abs(got - phase[:, None, None] * ref)) < 1e-12
+
+
+def test_brick_unitary_conjugates_generators_to_brick_images():
+    # the dense 4x4 against the packed images that the compiler reads
+    count = TWO_QUBIT_CLIFFORD_COUNT
+    dense: dict = {}
+    want = np.empty((count, 4, 4, 4), dtype=np.complex128)
+    for i in range(count):
+        tab = CliffordTableau.from_circuit(CliffordCircuit(2, (Brick(i, (0, 1)),)))
+        for k, row in enumerate(tab.rows):  # images of X0, X1, Z0, Z1
+            if row not in dense:
+                dense[row] = PauliString(2, *row).to_dense()
+            want[i, k] = dense[row]
+    u = np.array([brick_unitary(i) for i in range(count)])
+    gens = [PauliString.single(2, q, axis).to_dense() for axis in (1, 3) for q in (0, 1)]
+    for k, p in enumerate(gens):
+        got = u @ p @ u.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(got - want[:, k])) < 1e-12
+
+
+def test_brick_dense_on_any_pair_matches_expanded_sequence():
+    rng = np.random.default_rng(62)
+    n = 4
+    for _ in range(40):
+        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+        index = int(rng.integers(TWO_QUBIT_CLIFFORD_COUNT))
+        circ = CliffordCircuit(n, (Brick(index, (a, b)),))
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        want = apply_circuit(psi, expand_bricks(circ))
+        assert np.allclose(apply_circuit(psi, circ), want)
+
+
+def test_brickwall_emits_one_brick_per_pair():
+    rng = np.random.default_rng(63)
+    circ = sample_brickwall(7, 3, rng)
+    assert [g.qubits for g in circ.gates] == [
+        (0, 1), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6), (0, 1), (2, 3), (4, 5)
+    ]
+    assert all(isinstance(g, Brick) for g in circ.gates)
+
+
+def test_brickwall_text_roundtrip_and_inverse():
+    rng = np.random.default_rng(64)
+    for n, depth in ((2, 1), (5, 2), (8, 4)):
+        circ = sample_brickwall(n, depth, rng)
+        text = circ.to_text()
+        g = circ.gates[0]
+        assert text.splitlines()[1] == f"C2 {g.index} {g.qubits[0]} {g.qubits[1]}"
+        assert CliffordCircuit.from_text(text) == circ
+        assert CliffordTableau.from_circuit(circ + circ.inverse()).is_identity()
+        u = circuit_unitary(circ + circ.inverse())
+        assert np.allclose(u, u[0, 0] * np.eye(2**n)) and abs(abs(u[0, 0]) - 1) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["C2 11520 0 1", "C2 -1 0 1", "C2 2.5 0 1", "C2 x 0 1", "C2 7 0", "C2 7 1 1",
+     "C2 7 0 1 2", "C2", "C2 7 0 3"],
+    ids=["index-high", "index-negative", "index-float", "index-word", "one-qubit",
+         "equal-qubits", "three-qubits", "bare", "qubit-out-of-range"],
+)
+def test_circuit_from_text_rejects_bad_brick(line):
+    CliffordCircuit.from_text("qubits 3\nC2 7 0 1\n")
+    with pytest.raises(ValueError):
+        CliffordCircuit.from_text(f"qubits 3\n{line}\n")
+
+
+def test_brick_constructor_validation():
+    for bad in (Brick(TWO_QUBIT_CLIFFORD_COUNT, (0, 1)), Brick(np.int64(3), (0, 1)),
+                Brick(3, (0,)), Brick(3, (1, 1))):
+        with pytest.raises(ValueError):
+            CliffordCircuit(2, (bad,))
+    with pytest.raises(ValueError):
+        gate("C2", 0, 1)  # an elementary-gate name only
 
 
 # ----------------------------------------------------------------------

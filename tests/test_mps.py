@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     dense_entropy_bits,
+    expand_bricks,
     random_mps,
     random_pauli,
     random_state_vector,
@@ -68,6 +69,13 @@ def test_1q_gate_rejects_non_unitary():
     m = Mps.product_state([0])
     with pytest.raises(ValueError):
         m.apply_1q_gate(np.array([[1.0, 0.0], [0.0, 2.0]]), 0)
+
+
+@pytest.mark.parametrize("site", [-1, 3])
+def test_1q_gate_rejects_site_out_of_range(site):
+    m = Mps.product_state([0, 0, 0])
+    with pytest.raises(ValueError, match="out of range"):
+        m.apply_1q_gate(GATE_1Q["H"], site)
 
 
 def test_1q_gate_matches_dense():
@@ -493,6 +501,22 @@ def test_apply_gates_reports_each_truncated_gate():
     assert len(errs) == sum(len(g.qubits) == 2 for g in circ.gates)
     assert min(errs) >= 0.0 and sum(errs) > 0.0
     assert cut.max_bond == 2
+
+
+def test_apply_gates_bricks_match_expanded_sequences():
+    # one two-site SVD per brick against one per CNOT: equal up to rounding
+    rng = np.random.default_rng(49)
+    n = 8
+    exact = TruncationPolicy(chi_max=2 ** (n // 2))
+    circ = sample_brickwall(n, 6, rng)
+    bits = [int(b) for b in rng.integers(2, size=n)]
+    m, errs = apply_gates(Mps.product_state(bits), circ, exact)
+    ref, _ = apply_gates(Mps.product_state(bits), expand_bricks(circ), exact)
+    assert len(errs) == len(circ.gates)
+    assert abs(abs(inner(ref, m)) - 1.0) < 1e-12
+    for _ in range(5):
+        p = random_pauli(rng, n)
+        assert m.expect_pauli(p) == pytest.approx(ref.expect_pauli(p), abs=1e-12)
 
 
 @pytest.mark.parametrize("qubits", [(0, 2), (1, 0), (0, 3)])
