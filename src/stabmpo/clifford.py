@@ -3,19 +3,23 @@
 The tableau is its packed rows: the images of the 2N generators X_j, Z_j
 under forward conjugation P -> C P C^dag, each as ``(x, z, phase)`` ints
 with exact signs, the layout of Aaronson & Gottesman (PRA 70, 052328
-(2004)).  Gate updates rewrite the rows; conjugation of arbitrary strings
-multiplies the rows of their support with the exact Pauli group law.  An
+(2004)).  Every gate is a local tableau in the same layout: the packed
+images of X_0 [X_1] Z_0 [Z_1] on its own qubits, read from a literal table
+for the elementary gates and from the enumeration for a brick.  One rule
+conjugates by any gate: gather the string's bits on the gate's qubits,
+multiply the local rows of those bits, scatter the image back.  An
 incremental compiler keeps the rows of C^dag instead, as Stim's
 TableauSimulator does (Gidney, Quantum 5, 497 (2021)): appending a gate to C
-rewrites only the rows of its qubits (``append_to_inverse``), and
-``CliffordTableau.from_inverse`` builds the forward rows from them only when
-read.  The module also provides the circuit container, its line-oriented
-serialization, and the two samplers used by the experiment drivers:
-brick-wall layers of uniformly random two-qubit Cliffords and random
-U(1)-symmetric Cliffords in CZ / phase-power / permutation form.  A sampled
-two-qubit Clifford stays one element, a ``Brick`` that carries its index in
-an exhaustive enumeration of all 11520 elements; its rules read the packed
-images of the element and of its inverse, which the enumeration stores.
+rewrites only the rows of its qubits (``append_to_inverse``), each the image
+of a local row of the inverse gate, and ``CliffordTableau.from_inverse``
+builds the forward rows from them only when read.  The module also provides
+the circuit container, its line-oriented serialization, and the two
+samplers used by the experiment drivers: brick-wall layers of uniformly
+random two-qubit Cliffords and random U(1)-symmetric Cliffords in CZ /
+phase-power / permutation form.  A sampled two-qubit Clifford stays one
+element, a ``Brick`` that carries its index in an exhaustive enumeration of
+all 11520 elements, which stores each element's packed images and its
+inverse's index.
 """
 
 from __future__ import annotations
@@ -50,15 +54,22 @@ class Brick(NamedTuple):
     name = "C2"
 
 
-GATE_ARITY = {
-    "H": 1,
-    "S": 1,
-    "SDG": 1,
-    "X": 1,
-    "Z": 1,
-    "CNOT": 2,
-    "CZ": 2,
-    "SWAP": 2,
+# images of X_0 [X_1] Z_0 [Z_1] under each elementary gate, on its own qubits;
+# letter k of a literal acts on the gate's qubit k
+_GATE_IMAGES = {
+    "H": ("Z", "X"),
+    "S": ("Y", "Z"),
+    "SDG": ("-Y", "Z"),
+    "X": ("X", "-Z"),
+    "Z": ("-X", "Z"),
+    "CNOT": ("XX", "IX", "ZI", "ZZ"),
+    "CZ": ("XZ", "ZX", "ZI", "IZ"),
+    "SWAP": ("IX", "XI", "IZ", "ZI"),
+}
+GATE_ARITY = {name: len(images) // 2 for name, images in _GATE_IMAGES.items()}
+_GATE_ROWS = {
+    name: tuple((p.x, p.z, p.phase_exp) for p in map(PauliString.from_literal, images))
+    for name, images in _GATE_IMAGES.items()
 }
 
 _INVERSE_NAME = {"S": "SDG", "SDG": "S"}
@@ -167,85 +178,6 @@ def _mul6(u, v):
     return (u ^ v) & 15 | (phase & 3) << 4
 
 
-def _local_image(state: int, u: int) -> int:
-    """Image of the 6-bit string u under the two-qubit element ``state``.
-
-    A state packs the 6-bit images of X0, X1, Z0 and Z1 in that order, and
-    the string i^p X0^x0 X1^x1 Z0^z0 Z1^z1 maps to the product of its
-    factors' images.
-    """
-    out = u & 48
-    for k in range(4):
-        if u >> k & 1:
-            out = _mul6(out, state >> 6 * k & 63)
-    return out
-
-
-def _conjugate_bits(x: int, z: int, phase: int, g: Gate | Brick) -> Row:
-    """Forward-conjugate the packed string by one gate."""
-    name = g.name
-    if name == "C2":
-        a, b = g.qubits
-        u = (x >> a & 1) | (x >> b & 1) << 1 | (z >> a & 1) << 2 | (z >> b & 1) << 3
-        v = _local_image(_enumeration().states[g.index], u)
-        m = ~((1 << a) | (1 << b))
-        x = x & m | (v & 1) << a | (v >> 1 & 1) << b
-        z = z & m | (v >> 2 & 1) << a | (v >> 3 & 1) << b
-        phase += v >> 4
-    elif name == "H":
-        q = g.qubits[0]
-        m = 1 << q
-        xb, zb = x & m, z & m
-        if xb and zb:
-            phase += 2
-        x = (x & ~m) | (m if zb else 0)
-        z = (z & ~m) | (m if xb else 0)
-    elif name == "S":
-        q = g.qubits[0]
-        m = 1 << q
-        if x & m:
-            phase += 1
-            z ^= m
-    elif name == "SDG":
-        q = g.qubits[0]
-        m = 1 << q
-        if x & m:
-            phase += 3
-            z ^= m
-    elif name == "X":
-        if z & (1 << g.qubits[0]):
-            phase += 2
-    elif name == "Z":
-        if x & (1 << g.qubits[0]):
-            phase += 2
-    elif name == "CNOT":
-        c, t = g.qubits
-        mc, mt = 1 << c, 1 << t
-        if z & mt:
-            z ^= mc
-        if x & mc:
-            x ^= mt
-    elif name == "CZ":
-        c, t = g.qubits
-        mc, mt = 1 << c, 1 << t
-        if (x & mc) and (x & mt):
-            phase += 2
-        if x & mt:
-            z ^= mc
-        if x & mc:
-            z ^= mt
-    elif name == "SWAP":
-        a, b = g.qubits
-        ma, mb = 1 << a, 1 << b
-        xa, xb = x & ma, x & mb
-        za, zb = z & ma, z & mb
-        x = (x & ~(ma | mb)) | (ma if xb else 0) | (mb if xa else 0)
-        z = (z & ~(ma | mb)) | (ma if zb else 0) | (mb if za else 0)
-    else:
-        raise ValueError(f"unsupported gate {name!r}")
-    return x, z, phase
-
-
 def _image_bits(rows: Sequence[Row], n: int, x: int, z: int, phase: int) -> Row:
     """Image of the packed string under the tableau whose packed rows are given.
 
@@ -271,27 +203,61 @@ def _image_bits(rows: Sequence[Row], n: int, x: int, z: int, phase: int) -> Row:
     return ox, oz, phase % 4
 
 
+@lru_cache(maxsize=None)
+def _brick_rows(index: int) -> tuple[Row, ...]:
+    """Local rows of enumeration element ``index``, unpacked from its state."""
+    state = _enumeration().states[index]
+    images = (state >> 6 * k & 63 for k in range(4))
+    return tuple((v & 3, v >> 2 & 3, v >> 4) for v in images)
+
+
+def _local_rows(g: Gate | Brick) -> tuple[Row, ...]:
+    """Packed rows of g on its own qubits: the images of X_0 [X_1] Z_0 [Z_1]."""
+    return _brick_rows(g.index) if isinstance(g, Brick) else _GATE_ROWS[g.name]
+
+
+def _conjugate_bits(x: int, z: int, phase: int, g: Gate | Brick) -> Row:
+    """Forward-conjugate the packed string by one gate.
+
+    The string's bits on the gate's qubits are gathered into a local string,
+    mapped by the gate's local rows and scattered back; other bits stay.
+    """
+    qubits = g.qubits
+    lx = lz = 0
+    for q in reversed(qubits):
+        lx = lx << 1 | x >> q & 1
+        lz = lz << 1 | z >> q & 1
+    if not lx | lz:
+        return x, z, phase
+    lx, lz, phase = _image_bits(_local_rows(g), len(qubits), lx, lz, phase)
+    for q in qubits:
+        m = 1 << q
+        x = x & ~m | (lx & 1) << q
+        z = z & ~m | (lz & 1) << q
+        lx >>= 1
+        lz >>= 1
+    return x, z, phase
+
+
 def append_to_inverse(rows: list[Row], circ: CliffordCircuit) -> None:
     """Update the packed rows of C^dag in place to those of (circ C)^dag.
 
     Appending g to C prepends g^dag to C^dag, since (g C)^dag P (g C) =
     C^dag (g^dag P g) C; gates are taken in circuit order.  Prepending h to
     a tableau T makes the row of a generator G the image T(h G h^dag), so
-    only the rows X_q and Z_q of h's qubits change: the four rows of a brick's
-    two qubits, rewritten once from the packed images of its inverse.  Every
-    new row is computed from the old rows before any of them is written back.
+    only the rows X_q and Z_q of h's qubits change: each is the product of
+    T's rows on those qubits that the matching local row of h selects.
+    Every new row is computed from the old rows before any is written back.
     """
     n = circ.n
     if len(rows) != 2 * n:
         raise ValueError("qubit count mismatch")
     for g in circ.gates:
         g = _inverse_gate(g)
-        new = []
-        for q in g.qubits:
-            m = 1 << q
-            for k, (x, z) in ((q, (m, 0)), (n + q, (0, m))):
-                new.append((k, _image_bits(rows, n, *_conjugate_bits(x, z, 0, g))))
-        for k, row in new:
+        targets = (*g.qubits, *(n + q for q in g.qubits))
+        local = [rows[k] for k in targets]  # T on h's qubits, in h's local order
+        new = [_image_bits(local, len(g.qubits), *row) for row in _local_rows(g)]
+        for k, row in zip(targets, new):
             rows[k] = row
 
 
@@ -504,13 +470,8 @@ def _enumeration() -> _Enumeration:
     64-entry table per generator maps a state to the next.  The BFS order
     is deterministic, so index i always denotes the same element.
     """
-    generators = (
-        Gate("H", (0,)),
-        Gate("H", (1,)),
-        Gate("S", (0,)),
-        Gate("S", (1,)),
-        Gate("CNOT", (0, 1)),
-    )
+    one_qubit = (Gate(name, (q,)) for name in ("H", "S") for q in (0, 1))
+    generators = (*one_qubit, Gate("CNOT", (0, 1)))
     tables = []
     for g in generators:
         rows = (_conjugate_bits(u & 3, u >> 2 & 3, u >> 4, g) for u in range(64))

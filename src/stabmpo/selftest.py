@@ -155,18 +155,25 @@ def _check_folded_sites(rng) -> None:
 
 
 def _check_cross_methods(rng) -> None:
+    """Three methods against dense on Z_{n/2} and on C Z_j C^dag for every j.
+
+    C is the compiled residual, so C Z_j C^dag pulls back to Z_j: its value
+    is nonzero on these states and shows a wrong sign in the Clifford part.
+    """
     n = 4
     blocks = sample_tdoped_blocks(n, 3, 1, rng)
     compiled = compile_blocks(n, blocks)
-    obs = PauliString.single(n, n // 2, 3)
+    zs = [PauliString.single(n, j, 3) for j in range(n)]
     bits = [0] * n
     policy = TruncationPolicy(chi_max=64)
-    ref = dense_oracle_run(n, blocks, bits, obs)
-    got = expectation(Mps.product_state(bits), compiled, obs, policy).value
-    vert = vertical_fold_evolve(compiled, obs, bits, policy).value
-    horiz = horizontal_contract(compiled, obs, bits, policy).value
-    for v in (got, vert, horiz):
-        _require(abs(v - ref) < 1e-8, "method disagrees with dense")
+    for obs in [zs[n // 2]] + [compiled.residual.conjugate(z, "forward") for z in zs]:
+        ref = dense_oracle_run(n, blocks, bits, obs)
+        got = expectation(Mps.product_state(bits), compiled, obs, policy).value
+        vert = vertical_fold_evolve(compiled, obs, bits, policy).value
+        horiz = horizontal_contract(compiled, obs, bits, policy).value
+        for v in (got, vert, horiz):
+            ok = abs(v - ref) < 1e-8
+            _require(ok, f"method disagrees with dense on {obs.to_literal()}")
 
 
 def _check_mps_exactness(rng) -> None:

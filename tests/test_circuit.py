@@ -28,7 +28,12 @@ from stabmpo.dense import (
     circuit_unitary,
     rotation_matrix,
 )
-from stabmpo.harness import dense_oracle_run, realization_rng, sample_tdoped_blocks
+from stabmpo.harness import (
+    dense_oracle_run,
+    realization_rng,
+    sample_floquet_blocks,
+    sample_tdoped_blocks,
+)
 from stabmpo.mps import Mps, TruncationPolicy, inner
 from stabmpo.pauli import PauliString
 
@@ -190,6 +195,18 @@ def test_full_width_compile_text_is_pinned():
     blocks = sample_tdoped_blocks(128, 10, 1, realization_rng(1234, 0))
     text = compile_blocks(128, blocks).to_text()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FULL_WIDTH_COMPILE_SHA256
+
+
+# sha256 of the compiled text of realization 0 of the n=12, epsilon=0.1,
+# 15-period, seed-7 Floquet instance, whose Cliffords are elementary gates
+# only (SWAP, S, Z, SDG, CZ); the pin above covers bricks.
+FLOQUET_COMPILE_SHA256 = "4025925005172cdc6ec58cf939dcdf94fd2740fe8759fce1187aafb623af5fea"
+
+
+def test_floquet_compile_text_is_pinned():
+    blocks = sample_floquet_blocks(12, 0.1, 15, realization_rng(7, 0))
+    text = compile_blocks(12, blocks).to_text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FLOQUET_COMPILE_SHA256
 
 
 def test_compile_rejects_mixed_sizes():

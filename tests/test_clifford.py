@@ -1,12 +1,14 @@
 """Tableau conjugation, samplers and the two-qubit group enumeration."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from conftest import expand_bricks, random_clifford_circuit, random_pauli
 from stabmpo.clifford import (
+    GATE_ARITY,
     TWO_QUBIT_CLIFFORD_COUNT,
     Brick,
     CliffordCircuit,
@@ -68,6 +70,17 @@ def test_single_gate_conjugation_table_exact():
         for mu in range(4):
             for nu in range(4):
                 assert_matches_dense(circ, PauliString.from_letters([mu, nu]))
+    # other placements on n=3: all letters on the gate's qubits, Y on the
+    # others, so the order of the qubits and the bits passing through count
+    placements = {1: [(2,)], 2: [(1, 0), (0, 2), (2, 0)]}
+    for name, arity in GATE_ARITY.items():
+        for qubits in placements[arity]:
+            circ = CliffordCircuit(3, (Gate(name, qubits),))
+            for local in itertools.product(range(4), repeat=arity):
+                letters = [2, 2, 2]
+                for q, mu in zip(qubits, local):
+                    letters[q] = mu
+                assert_matches_dense(circ, PauliString.from_letters(letters))
 
 
 def test_random_circuit_conjugation_matches_dense():
