@@ -401,6 +401,49 @@ def test_entropy_invariant_under_one_sided_unitaries():
     assert conj.entanglement_entropy(cut) == pytest.approx(s0, abs=1e-10)
 
 
+def test_schmidt_spectrum_rejects_cut_outside_chain():
+    m = random_mps(np.random.default_rng(49), 5)
+    for cut in (-1, 6, 10):
+        with pytest.raises(ValueError, match="cut"):
+            m.schmidt_spectrum(cut)
+        with pytest.raises(ValueError, match="cut"):
+            m.entanglement_entropy(cut)
+    for cut in (0, 5):  # the trivial ends
+        assert m.schmidt_spectrum(cut) is None
+        assert m.entanglement_entropy(cut) == 0.0
+
+
+def svd_spectrum(m: Mps, cut: int) -> np.ndarray:
+    """Normalized squared singular values of the bond matrix at the moved center."""
+    t = m.move_center(cut - 1).tensors[cut - 1]
+    s = np.linalg.svd(t.reshape(-1, t.shape[2]), compute_uv=False)
+    return s**2 / np.sum(s**2)
+
+
+def test_gram_spectrum_matches_svd_at_every_center_and_cut():
+    rng = np.random.default_rng(50)
+    n = 7
+    exact = random_mps(rng, n)
+    lossy, err = exact.compress(TruncationPolicy(chi_max=3))
+    assert err > 1e-6 and lossy.norm() < 1.0 - 1e-6, "state was not truncated"
+    scaled, _ = exact.compress(TruncationPolicy(chi_max=3, renormalize=True))
+    assert scaled.log_norm != 0.0
+    for state in (exact, lossy, scaled):
+        vec = state.to_dense()
+        for center in (*range(n), None):
+            m = Mps(state.tensors, state.log_norm)
+            m = m if center is None else m.move_center(center)
+            for cut in range(1, n):
+                got, want = m.schmidt_spectrum(cut), svd_spectrum(m, cut)
+                size = max(len(got), len(want))
+                got, want = (np.pad(v, (0, size - len(v))) for v in (got, want))
+                assert np.max(np.abs(got - want)) < 1e-12, (center, cut)
+                assert abs(np.sum(got) - 1.0) < 1e-12
+                assert abs(
+                    m.entanglement_entropy(cut) - dense_entropy_bits(vec, cut, n)
+                ) < 1e-10
+
+
 def test_expect_pauli_examples():
     m = Mps.product_state([0, 0, 0])
     assert m.expect_pauli(PauliString.single(3, 0, 3)) == pytest.approx(1.0)
@@ -416,6 +459,29 @@ def test_expect_pauli_matches_dense():
         ref = np.vdot(vec, apply_pauli(vec, p, 6)).real / np.vdot(vec, vec).real
         assert m.expect_pauli(p) == pytest.approx(ref, abs=1e-10)
         assert -1.0 - 1e-9 <= m.expect_pauli(p) <= 1.0 + 1e-9
+
+
+def test_numerator_only_expect_pauli_on_unnormalized_state():
+    rng = np.random.default_rng(51)
+    n = 8
+    lossy = TruncationPolicy(chi_max=4, svd_cutoff=1e-3)
+    state = Mps.product_state([0] * n)
+    for _ in range(8):
+        gamma = PauliString.from_letters([int(rng.integers(4)) for _ in range(n)])
+        state, _ = apply_layer(state, StabMpoLayer(gamma, 0.35), lossy)
+    assert state.norm() < 1.0 - 1e-6, "state was not truncated"
+    vec = state.to_dense()
+    strings = [random_pauli(rng, n) for _ in range(6)] + [PauliString(n, 0, 0)]
+    free = Mps(state.tensors)
+    for center in (0, 4, 7):
+        m = state.move_center(center)
+        for p in strings:
+            ref = np.vdot(vec, apply_pauli(vec, p, n)).real / np.vdot(vec, vec).real
+            assert abs(m.expect_pauli(p) - ref) < 1e-12
+            assert abs(free.expect_pauli(p) - m.expect_pauli(p)) < 1e-12
+    zero, _ = two_branch(random_mps(rng, 4), 1.0, -1.0, [0] * 4)
+    assert zero.is_zero
+    assert zero.expect_pauli(PauliString.single(4, 1, 3)) == 0.0
 
 
 def test_inner_examples_and_symmetry():
