@@ -41,24 +41,27 @@ class TruncationPolicy:
     renormalize: bool = False
 
     def __post_init__(self) -> None:
-        if self.chi_max < 1:
-            raise ValueError("chi_max must be >= 1")
+        chi = self.chi_max  # 2.5 or True would reach a slice or act as 1
+        if isinstance(chi, bool) or not isinstance(chi, (int, np.integer)) or chi < 1:
+            raise ValueError(f"chi_max must be an int >= 1, not {chi!r}")
         if not 0.0 <= self.svd_cutoff < 1.0:
             raise ValueError("svd_cutoff must be in [0, 1)")
 
 
-def _truncate_spectrum(s: np.ndarray, policy: TruncationPolicy) -> tuple[int, float]:
-    """Number of values to keep and the discarded relative weight."""
-    sq = s * s
-    total = float(np.sum(sq))
+def _truncate_spectrum(w: np.ndarray, policy: TruncationPolicy) -> tuple[int, float]:
+    """Number of weights to keep and the discarded relative weight.
+
+    ``w`` holds the squared Schmidt values, nonnegative and largest first.
+    """
+    total = float(np.sum(w))
     if total == 0.0:
         return 1, 0.0
-    k = min(len(s), policy.chi_max)
+    k = min(len(w), policy.chi_max)
     if policy.svd_cutoff > 0.0:
-        above = int(np.count_nonzero(sq / total >= policy.svd_cutoff))
+        above = int(np.count_nonzero(w / total >= policy.svd_cutoff))
         k = min(k, max(above, 1))
     k = max(k, 1)
-    discarded = float(np.sum(sq[k:])) / total
+    discarded = float(np.sum(w[k:])) / total
     return k, discarded
 
 
@@ -225,7 +228,7 @@ class Mps:
         theta = theta.transpose(2, 0, 1, 3).reshape(dl * d0, d1 * dr)
 
         uu, s, vh = np.linalg.svd(theta, full_matrices=False)
-        k, err = _truncate_spectrum(s, policy)
+        k, err = _truncate_spectrum(s * s, policy)
         keep = s[:k]
         if policy.renormalize and err > 0.0:
             keep = keep * (np.linalg.norm(s) / np.linalg.norm(keep))
@@ -269,24 +272,46 @@ class Mps:
         return self._sweep(list(self.tensors), 0, self.n - 1, policy)
 
     def _sweep(self, tensors, lo: int, hi: int, policy) -> tuple["Mps", float]:
-        """Right-orthogonalize [lo, hi], then SVD-truncate it left to right.
+        """Compress [lo, hi] by reduced density matrices; ``hi`` ends as center.
 
-        Sites left of ``lo`` must be left- and sites right of ``hi`` right-
-        isometric, so every SVD sees Schmidt values; ``hi`` ends as center.
-        Returns the state and the discarded relative weight summed over bonds.
+        Sites left of ``lo`` must be left- and right of ``hi`` right-isometric.
+        Right to left, a site with dl > d·dr moves into its left neighbour and
+        leaves a unit tensor, cutting that bond to d·dr; from the first other
+        site on, each bond's right Gram environment E ← Σ_s M_s E M_s† is kept
+        (None: identity).  Left to right, T (dl·d × dr), or R of T = QR if
+        tall, splits by the eigenvectors of ρ = T E T† (R E R†).  The sites
+        left of i are orthonormal, so ρ's eigenvalues are the squared Schmidt
+        values, to about 1e-16·tr ρ (below the default cutoff).  The top k,
+        U_k, make the site (Q U_k); the carry U_k† T (U_k† R) is the exact
+        projection, so the summed discarded weight returned is the loss.
         """
+        envs, units, env = {}, set(), None
         for i in range(hi, lo, -1):
-            self._orth_right(tensors, i)
+            dl, d, dr = tensors[i].shape
+            if d * dr < dl:
+                tensors[i - 1] = _absorb_right(tensors[i - 1], tensors[i].reshape(dl, -1))
+                units.add(i)  # tensors[i] keeps its (d, dr) for the carry
+                env = envs[i] = None if env is None else np.kron(np.eye(d), env)
+                continue
+            m = tensors[i].reshape(-1, d * dr)
+            me = m if env is None else np.dot(tensors[i].reshape(-1, dr), env)
+            env = envs[i] = np.dot(me.reshape(m.shape), m.conj().T)
         total_err = 0.0
         for i in range(lo, hi):
             dl, d, dr = tensors[i].shape
-            uu, s, vh = np.linalg.svd(
-                tensors[i].reshape(dl * d, dr), full_matrices=False
-            )
-            k, err = _truncate_spectrum(s, policy)
+            t, q = tensors[i].reshape(dl * d, dr), None
+            if dl * d > dr:
+                q, t = np.linalg.qr(t)
+            env = envs.get(i + 1)
+            te = t if env is None else np.dot(t, env)
+            w, v = np.linalg.eigh(np.dot(te, t.conj().T))
+            k, err = _truncate_spectrum(np.clip(w[::-1], 0.0, None), policy)
             total_err += err
-            tensors[i] = uu[:, :k].reshape(dl, d, k)
-            tensors[i + 1] = _absorb_left(s[:k, None] * vh[:k], tensors[i + 1])
+            u = v[:, ::-1][:, :k]
+            tensors[i] = (u if q is None else np.dot(q, u)).reshape(dl, d, k)
+            carry = np.dot(u.conj().T, t)
+            nxt = carry if i + 1 in units else _absorb_left(carry, tensors[i + 1])
+            tensors[i + 1] = nxt.reshape(k, *tensors[i + 1].shape[1:])
 
         last = tensors[hi]
         nrm = float(np.linalg.norm(last))

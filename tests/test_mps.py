@@ -19,6 +19,7 @@ from stabmpo.dense import GATE_1Q, GATE_2Q, apply_circuit, apply_pauli, basis_st
 from stabmpo.harness import apply_gates
 from stabmpo.mps import Mps, TruncationPolicy, cap_mpo, diagonal_mpo, inner
 from stabmpo.pauli import SIGMA, PauliString
+from stabmpo.temporal import FOLDED_BLOCKS, computational_pauli_vector, folded_coefficients
 
 EXACT8 = TruncationPolicy(chi_max=2**8)
 
@@ -366,6 +367,119 @@ def test_lossy_window_layer_reports_dense_fidelity_loss():
 
 
 # ----------------------------------------------------------------------
+# the compression sweep on the three operator kinds of apply_mpo
+# ----------------------------------------------------------------------
+def random_chain(rng, n: int, d: int, chi: int) -> Mps:
+    """Generic unnormalized state, physical dimension d, bonds min(chi, d^k)."""
+    bonds = [min(chi, d**i, d ** (n - i)) for i in range(n + 1)]
+    shapes = [(bl, d, br) for bl, br in zip(bonds, bonds[1:])]
+    return Mps([rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes])
+
+
+def window_operator(rng, kind: str, n: int, lo: int, hi: int) -> list:
+    """A capped operator on sites [lo, hi] as the three contractions build it.
+
+    "layer": phi0 I + phi1 P, bond 2 on qubits; "row": a folded layer row,
+    bond 4 on the Pauli-coefficient train; "column": a horizontal column,
+    bond 4 on the folded auxiliary chain.
+    """
+    letters = rng.integers(4, size=hi - lo + 1)
+    phis = random_unitary(rng, 2)[0]
+    if kind == "layer":
+        sites = [diagonal_mpo((SIGMA[0], SIGMA[g])) for g in letters]
+        caps = (phis, np.ones(2))
+    elif kind == "row":
+        sites = [diagonal_mpo(FOLDED_BLOCKS[g]) for g in letters]
+        caps = (folded_coefficients(*phis), np.ones(4))
+    else:
+        sites = [diagonal_mpo(FOLDED_BLOCKS[g]).transpose(2, 0, 3, 1) for g in letters]
+        top = 2.0 * np.eye(4)[int(rng.integers(4))]
+        caps = (computational_pauli_vector(int(rng.integers(2))), top)
+    return [None] * lo + cap_mpo(sites, *caps) + [None] * (n - 1 - hi)
+
+
+def dense_apply(ops, state: Mps) -> np.ndarray:
+    """The operator chain applied to the dense vector, one site at a time."""
+    x = state.to_dense(cap=14).reshape(1, *state.phys_dims)  # (bond, sites...)
+    for op, d in zip(ops, state.phys_dims):
+        op = np.eye(d)[None, :, :, None] if op is None else op
+        x = np.moveaxis(np.tensordot(op, x, axes=([0, 2], [0, 1])), 0, -1)
+    return x.reshape(-1)
+
+
+def dense_ranks(vec: np.ndarray, d: int, n: int) -> list[int]:
+    """Rank of each matricization at 1e-12 relative weight; entry b is bond b."""
+    ranks = [1]
+    for cut in range(1, n):
+        w = np.linalg.svd(vec.reshape(d**cut, -1), compute_uv=False) ** 2
+        ranks.append(int(np.count_nonzero(w >= 1e-12 * np.sum(w))))
+    return ranks + [1]
+
+
+@pytest.mark.parametrize("kind", ["layer", "row", "column"])
+def test_sweep_matches_dense_at_every_window_and_center(kind):
+    # every window [lo, hi] from every center (None sweeps the whole chain):
+    # absorbed tails (unit sites), Gram-environment regions, unit sites inside
+    # them and tall splits all occur
+    rng = np.random.default_rng({"layer": 91, "row": 92, "column": 93}[kind])
+    n, d = 7, 2 if kind == "layer" else 4
+    base = random_chain(rng, n, d, chi=8 if d == 2 else 6)
+    exact = TruncationPolicy(chi_max=d**n)
+    free = TruncationPolicy(chi_max=d**n, svd_cutoff=0.0)
+    ref = np.linalg.norm(base.to_dense(14))
+    for lo in range(n):
+        for hi in range(lo, n):
+            want = np.zeros(1)
+            while np.linalg.norm(want) < 1e-9 * ref:  # a column can annihilate it
+                ops = window_operator(rng, kind, n, lo, hi)
+                want = dense_apply(ops, base)
+            scale = np.linalg.norm(want)
+            ranks = dense_ranks(want, d, n)
+            op_bonds = [1] + [1 if op is None else op.shape[0] for op in ops[1:]] + [1]
+            for center in (None, *range(n)):
+                state = base if center is None else base.move_center(center)
+                swept = range(1, n) if center is None else range(lo + 1, hi + 1)
+                merged = [a * b for a, b in zip(state.bond_dims, op_bonds)]
+                out, err = state.apply_mpo(ops, exact)
+                assert err < 1e-12
+                assert np.linalg.norm(out.to_dense(14) - want) <= 1e-12 * scale
+                assert [out.bond_dims[b] for b in swept] == [ranks[b] for b in swept]
+                out, err = state.apply_mpo(ops, free)
+                assert np.linalg.norm(out.to_dense(14) - want) <= 1e-12 * scale
+                for b in swept:
+                    assert out.bond_dims[b] <= min(out.bond_dims[b - 1] * d, merged[b])
+                for chi in (2, 3):
+                    out, err = state.apply_mpo(ops, TruncationPolicy(chi_max=chi))
+                    assert all(out.bond_dims[b] <= chi for b in swept)
+                    assert err >= 1.0 - fidelity(out.to_dense(14), want) - 1e-12
+
+
+def test_sweep_zero_and_renormalized_states():
+    rng = np.random.default_rng(94)
+    n = 7
+    state = random_chain(rng, n, 2, chi=8).move_center(3)
+    # I - I on sites 2..4: the zero vector, flagged and not rescaled
+    cancel = cap_mpo([diagonal_mpo((SIGMA[0], SIGMA[0]))] * 3, [1.0, -1.0], np.ones(2))
+    zero, err = state.apply_mpo([None] * 2 + cancel + [None] * 2, EXACT8)
+    assert zero.is_zero and err == 0.0
+    assert zero.raw_norm() < 1e-12
+    assert all(np.all(np.isfinite(t)) for t in zero.tensors)
+    ops = window_operator(rng, "layer", n, 1, 5)
+    want = dense_apply(ops, state)
+    norm2 = np.vdot(want, want).real
+    for chi in (2**n, 2):
+        out, err = state.apply_mpo(ops, TruncationPolicy(chi, renormalize=True))
+        got = out.to_dense()
+        assert out.raw_norm() == pytest.approx(1.0, abs=1e-12)
+        assert norm2 * (1.0 - err - 1e-12) <= out.norm() ** 2 <= norm2 * (1.0 + 1e-12)
+        assert err >= 1.0 - fidelity(got, want) - 1e-12
+        if chi == 2**n:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.sqrt(norm2)
+        else:
+            assert err > 1e-6, "the chi=2 sweep cut nothing"
+
+
+# ----------------------------------------------------------------------
 # entropy / expectation / overlap
 # ----------------------------------------------------------------------
 def test_entropy_ghz():
@@ -597,3 +711,11 @@ def test_policy_validation():
         TruncationPolicy(chi_max=0)
     with pytest.raises(ValueError):
         TruncationPolicy(chi_max=2, svd_cutoff=1.5)
+
+
+@pytest.mark.parametrize("chi", [2.5, 4.0, True, False, "4", None])
+def test_policy_rejects_chi_max_that_is_not_an_int(chi):
+    # 2.5 used to pass and then fail as a slice bound inside the sweep
+    with pytest.raises(ValueError, match="chi_max"):
+        TruncationPolicy(chi_max=chi)
+    assert TruncationPolicy(chi_max=np.int64(3)).chi_max == 3

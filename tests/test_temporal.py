@@ -347,7 +347,7 @@ def test_horizontal_rejects_length_mismatch():
     strict=True,
     raises=ValueError,
     reason="ROADMAP item 5: a truncated folded sweep can leave an imaginary "
-    "residual (-0.0016 here); a real gauge for the folded network closes it",
+    "residual (0.012 here); a real gauge for the folded network closes it",
 )
 def test_horizontal_truncated_sweep_has_no_imaginary_residual():
     # `stabmpo temporal --n 12 --m 16 --d 1 --chi 4 --realizations 15 --seed 1`
