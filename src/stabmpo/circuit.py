@@ -22,7 +22,7 @@ from math import cos, isfinite, pi, sin
 import numpy as np
 
 from .clifford import CliffordCircuit, CliffordTableau, append_to_inverse
-from .mps import Mps, TruncationPolicy, cap_mpo, diagonal_mpo
+from .mps import Mps, TruncationPolicy, diagonal_mpo, window_mpo
 from .pauli import ORACLE_CAP, SIGMA, PauliString
 
 # _LAYER_SITES[g]: the uncapped bond-2 operator (I on branch 0, sigma^g on
@@ -77,10 +77,6 @@ class StabMpoLayer:
     def letters(self) -> PauliString:
         """The unsigned string |Sigma^gamma| the layer rotates about."""
         return self.gamma.unsigned()
-
-    @property
-    def is_identity_string(self) -> bool:
-        return self.gamma.is_identity
 
     def to_dense(self, cap: int = ORACLE_CAP) -> np.ndarray:
         dim = 2**self.gamma.n
@@ -207,6 +203,15 @@ def compile_blocks(n: int, blocks) -> StabMpoCircuit:
     return comp.result()
 
 
+def letter_table(strings, n: int) -> np.ndarray:
+    """(len(strings), n) letters 0-3 of n-qubit Pauli strings, read from their bits."""
+    size = n // 8 + 1
+    raw = b"".join(w.to_bytes(size, "little") for s in strings for w in (s.x, s.z))
+    xz = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 2, size)
+    xz = np.unpackbits(xz, axis=2, count=n, bitorder="little")
+    return xz[:, 0] ^ 3 * xz[:, 1]  # (x, z) bits to 0 I, 1 X, 2 Y, 3 Z
+
+
 def transform_observable(c: CliffordTableau, p: PauliString) -> PauliString:
     """Signed pull-back C^dag P C of an observable through the residual Clifford."""
     return c.conjugate(p, "inverse")
@@ -217,22 +222,15 @@ def apply_layer(
 ) -> tuple[Mps, float]:
     """Apply one layer to an MPS: phi0 |m> + phi1 P|m>, then compressed.
 
-    Only the support window of gamma gets operator tensors.  An identity-
-    string layer is a pure global phase and costs nothing.  Returns the new
-    state and the discarded relative Schmidt weight.
+    Only the support window of gamma gets operator tensors; an identity-
+    string layer is the global phase phi0 + phi1 and costs nothing.  Returns
+    the new state and the discarded relative Schmidt weight.
     """
     if layer.gamma.n != m.n:
         raise ValueError("length mismatch")
-    if layer.is_identity_string:
-        phase = layer.phi0 + layer.phi1  # = exp(-i theta_eff / 2)
-        out = m.copy()
-        out.tensors[0] = out.tensors[0] * phase
-        return out, 0.0
-    support = layer.gamma.support
-    lo, hi = support[0], support[-1]
-    ops = [_LAYER_SITES[layer.gamma.letter(j)] for j in range(lo, hi + 1)]
-    ops = cap_mpo(ops, [layer.phi0, layer.phi1], np.ones(2))
-    return m.apply_mpo([None] * lo + ops + [None] * (m.n - 1 - hi), policy)
+    letters = letter_table([layer.gamma], m.n)[0]
+    ops = window_mpo(letters, _LAYER_SITES, [layer.phi0, layer.phi1], np.ones(2))
+    return m.apply_mpo(ops, policy)
 
 
 @dataclass
@@ -249,11 +247,11 @@ class Contraction:
     max_bond: int = 1
     zero_state: bool = False
 
-    def record(self, state: Mps, err: float, cut: int | None = None) -> bool:
-        """Record one step, with the entropy at ``cut`` if given; True once zero."""
+    def record(self, state: Mps, err: float, entropy: float | None = None) -> bool:
+        """Record one step, with its entropy if given; True once zero."""
         self.truncation.append(err)
-        if cut is not None:
-            self.entropy_bits.append(state.entanglement_entropy(cut))
+        if entropy is not None:
+            self.entropy_bits.append(entropy)
         self.max_bond = max(self.max_bond, state.max_bond)
         self.zero_state = state.is_zero
         return self.zero_state
@@ -278,7 +276,7 @@ def expectation(
     res = Contraction(max_bond=psi0.max_bond)
     for layer in circuit.layers:
         state, err = apply_layer(state, layer, policy)
-        if res.record(state, err, state.n // 2):
+        if res.record(state, err, state.entanglement_entropy(state.n // 2)):
             return res
     nu = transform_observable(circuit.residual, observable)
     res.value = state.expect_pauli(nu)

@@ -138,9 +138,6 @@ class Mps:
     def max_bond(self) -> int:
         return max(self.bond_dims)
 
-    def copy(self) -> "Mps":
-        return Mps(list(self.tensors), self.log_norm, self.center, self.is_zero)
-
     def raw_norm(self) -> float:
         """Two-norm of the tensor network, excluding the log_norm scale."""
         e = np.ones((1, 1), dtype=np.complex128)
@@ -237,7 +234,7 @@ class Mps:
         return Mps(tensors, work.log_norm, site + 1, work.is_zero), err
 
     def apply_mpo(
-        self, ops: list[np.ndarray | None], policy: TruncationPolicy
+        self, ops: list[np.ndarray | None] | complex, policy: TruncationPolicy
     ) -> tuple["Mps", float]:
         """Apply a matrix-product operator, then compress.
 
@@ -245,9 +242,14 @@ class Mps:
         or None for an identity site outside the capped span [lo, hi].  The
         merged bonds put the operator bond major.  With a known center, the
         center moves into [lo, hi] and only that window is swept; otherwise
-        the whole chain is.  Returns the compressed state and its discarded
-        weight.
+        the whole chain is.  A scalar (``window_mpo`` with no window) scales
+        the center tensor (site 0 without a center), unrenormalized, and a
+        zero marks the state zero.  Returns the state and discarded weight.
         """
+        if not isinstance(ops, list):
+            tensors, c = list(self.tensors), self.center or 0
+            tensors[c] = tensors[c] * ops
+            return Mps(tensors, self.log_norm, self.center, self.is_zero or ops == 0), 0.0
         if len(ops) != self.n:
             raise ValueError("operator length does not match the state")
         sites = [j for j, op in enumerate(ops) if op is not None]
@@ -461,3 +463,19 @@ def cap_mpo(ops, left, right) -> list[np.ndarray]:
     ops[0] = np.tensordot(left, ops[0], axes=(0, 0))[None, ...]
     ops[-1] = np.tensordot(ops[-1], right, axes=(3, 0))[..., None]
     return ops
+
+
+def window_mpo(letters, table, left, right) -> list[np.ndarray | None] | complex:
+    """``Mps.apply_mpo``'s operator of a letter string: its support window.
+
+    ``table[g]`` is letter g's uncapped (bond, out, in, bond) tensor, and
+    ``table[0]`` must be delta(bond) x delta(physical), so the caps pass
+    through I letters: the capped tensors run from the first to the last
+    non-I letter, None outside; with no such letter, the scalar left . right.
+    """
+    support = np.flatnonzero(letters)
+    if not support.size:
+        return complex(np.dot(left, right))
+    lo, hi = int(support[0]), int(support[-1])
+    ops = cap_mpo([table[g] for g in letters[lo : hi + 1]], left, right)
+    return [None] * lo + ops + [None] * (len(letters) - 1 - hi)

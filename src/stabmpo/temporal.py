@@ -15,8 +15,8 @@ from math import ceil
 
 import numpy as np
 
-from .circuit import Contraction, StabMpoCircuit, transform_observable
-from .mps import Mps, TruncationPolicy, basis_bits, cap_mpo, diagonal_mpo, inner
+from .circuit import Contraction, StabMpoCircuit, letter_table, transform_observable
+from .mps import Mps, TruncationPolicy, basis_bits, diagonal_mpo, inner, window_mpo
 from .pauli import PauliString
 
 
@@ -119,7 +119,8 @@ def vertical_fold_evolve(
     """Transfer-basis evolution of |bits><bits| through all layers.
 
     Each layer acts on the dim-4 coefficient train as one bond-4 diagonal
-    operator, capped by its folded coefficients; pairing the result with
+    operator over its support window, capped by its folded coefficients (an
+    identity layer: their sum |phi0 + phi1|^2 = 1); pairing the result with
     the pulled-back observable components reproduces the layer-evolved
     expectation.
     """
@@ -129,12 +130,10 @@ def vertical_fold_evolve(
     y = Mps.from_site_vectors([computational_pauli_vector(b) for b in bits])
     res = Contraction()
 
-    for layer in circuit.layers:
-        err = 0.0  # an identity layer's four branches sum to |phi0 + phi1|^2 = 1
-        if not layer.is_identity_string:
-            rows = [_FOLDED_ROWS[layer.gamma.letter(j)] for j in range(circuit.n)]
-            coeffs = folded_coefficients(layer.phi0, layer.phi1)
-            y, err = y.apply_mpo(cap_mpo(rows, coeffs, np.ones(4)), policy)
+    letters = letter_table([layer.gamma for layer in circuit.layers], circuit.n)
+    for layer, row in zip(circuit.layers, letters):
+        coeffs = folded_coefficients(layer.phi0, layer.phi1)
+        y, err = y.apply_mpo(window_mpo(row, _FOLDED_ROWS, coeffs, np.ones(4)), policy)
         if res.record(y, err):
             return res
 
@@ -151,20 +150,9 @@ def vertical_fold_evolve(
 # horizontal contraction: auxiliary-row chain swept over columns
 # ----------------------------------------------------------------------
 # (w_in, a', a, w_out) column tensor of each layer letter, uncapped: the row
-# operator with the roles of bond and physical index swapped
+# operator with bond and physical index swapped, so the wire w (bottom cap ->
+# rows -> top cap) is the operator bond
 _FOLDED_COLUMNS = tuple(row.transpose(2, 0, 3, 1) for row in _FOLDED_ROWS)
-
-
-def _folded_column(circuit: StabMpoCircuit, nu: PauliString, site: int, bit: int):
-    """Column transfer tensors over the folded auxiliary chain.
-
-    The wire is the dim-4 Pauli index threaded bottom cap -> rows -> top
-    cap; it is the operator bond of the column.
-    """
-    top = np.zeros(4, dtype=np.complex128)
-    top[nu.letter(site)] = 2.0
-    tensors = [_FOLDED_COLUMNS[layer.gamma.letter(site)] for layer in circuit.layers]
-    return cap_mpo(tensors, computational_pauli_vector(bit), top)
 
 
 def horizontal_contract(
@@ -180,7 +168,8 @@ def horizontal_contract(
     Only computational product initial states are supported: the column
     closure needs single-site matrix elements of the boundary state.  The
     symmetric-bipartition entropy of the chain is recorded after every
-    column; the final scalar matches the vertical contraction.
+    column; the final scalar matches the vertical contraction.  A column
+    whose layer letters are all I is the scalar 2 v_bit[nu_j] (1, +-1 or 0).
     """
     if circuit.m == 0:
         value = vertical_fold_evolve(circuit, observable, bits, policy).value
@@ -191,23 +180,25 @@ def horizontal_contract(
     nu, sign = _observable_letters(circuit, observable)
 
     work = TruncationPolicy(policy.chi_max, policy.svd_cutoff, renormalize=True)
-    chain = Mps.from_site_vectors(
-        np.array(folded_coefficients(l.phi0, l.phi1), dtype=np.complex128)
-        for l in circuit.layers
-    )
+    coeffs = (folded_coefficients(l.phi0, l.phi1) for l in circuit.layers)
+    chain = Mps.from_site_vectors(coeffs)
     res = Contraction()
     cut = ceil(circuit.m / 2)
 
-    for j in range(circuit.n):
-        tensors = _folded_column(circuit, nu, j, bits[j])
-        chain, err = chain.apply_mpo(tensors, work)
-        if res.record(chain, err, cut):
+    # the layers' letters, then nu's: one row per string, one column per site
+    letters = letter_table([l.gamma for l in circuit.layers] + [nu], circuit.n)
+    entropy = 0.0  # of the product chain
+    for j, bit in enumerate(bits):
+        caps = computational_pauli_vector(bit), 2.0 * np.eye(4)[letters[-1, j]]
+        column = window_mpo(letters[:-1, j], _FOLDED_COLUMNS, *caps)
+        chain, err = chain.apply_mpo(column, work)
+        if isinstance(column, list) or chain.is_zero:  # a scalar keeps the spectrum
+            entropy = chain.entanglement_entropy(cut)
+        if res.record(chain, err, entropy):
             res.entropy_bits += [0.0] * (circuit.n - j - 1)
             return res
 
-    closure = Mps.from_site_vectors(
-        np.ones(4, dtype=np.complex128) for _ in range(circuit.m)
-    )
+    closure = Mps.from_site_vectors(np.ones(4) for _ in range(circuit.m))
     value = sign * inner(closure, chain)
     if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
         raise ValueError(f"horizontal expectation has imaginary residual {value.imag}")

@@ -1,25 +1,30 @@
 """Folded transfer tensors and both contraction directions of the network."""
 
-from math import cos, pi, sin
+from math import ceil, cos, pi, sin
 
 import numpy as np
 import pytest
 
 from stabmpo.circuit import (
+    _LAYER_SITES,
     RotationGate,
     StabMpoCircuit,
     StabMpoLayer,
     compile_blocks,
     expectation,
     t_gate,
+    transform_observable,
 )
 from stabmpo.clifford import CliffordCircuit, CliffordTableau, Gate
 from stabmpo.harness import dense_oracle_run, realization_rng, sample_tdoped_blocks
-from stabmpo.mps import Mps, TruncationPolicy
+from stabmpo.mps import Mps, TruncationPolicy, cap_mpo, inner
 from stabmpo.pauli import SIGMA, PauliString, pauli_coefficient
 from stabmpo.temporal import (
+    _FOLDED_COLUMNS,
+    _FOLDED_ROWS,
     build_folded_site,
     computational_pauli_vector,
+    folded_coefficients,
     gamma_structure,
     horizontal_contract,
     s_factor,
@@ -347,7 +352,7 @@ def test_horizontal_rejects_length_mismatch():
     strict=True,
     raises=ValueError,
     reason="ROADMAP item 5: a truncated folded sweep can leave an imaginary "
-    "residual (0.012 here); a real gauge for the folded network closes it",
+    "residual (0.0044 here); a real gauge for the folded network closes it",
 )
 def test_horizontal_truncated_sweep_has_no_imaginary_residual():
     # `stabmpo temporal --n 12 --m 16 --d 1 --chi 4 --realizations 15 --seed 1`
@@ -357,6 +362,142 @@ def test_horizontal_truncated_sweep_has_no_imaginary_residual():
     circ = compile_blocks(n, blocks)
     obs = PauliString.single(n, n // 2, 3)
     horizontal_contract(circ, obs, [0] * n, TruncationPolicy(chi_max=4))
+
+
+# ----------------------------------------------------------------------
+# support windows: the three contractions against full-length operators
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("table", ["layer", "row", "column"])
+def test_identity_letter_is_bond_and_physical_delta(table):
+    # the premise of the support window: both caps pass through letter 0
+    # unchanged, so the sites outside the window may be left out
+    op, bond, phys = {
+        "layer": (_LAYER_SITES[0], 2, 2),
+        "row": (_FOLDED_ROWS[0], 4, 4),
+        "column": (_FOLDED_COLUMNS[0], 4, 4),
+    }[table]
+    delta = np.einsum("ab,oi->aoib", np.eye(bond), np.eye(phys))
+    assert op.shape == delta.shape
+    assert np.array_equal(op, delta)
+
+
+def full_length(letters, table, left, right) -> list:
+    """The capped operator over every site, identity letters included."""
+    return cap_mpo([table[g] for g in letters], left, right)
+
+
+def layers_reference(circ, obs, bits, policy):
+    state = Mps.product_state(bits)
+    entropies = []
+    for layer in circ.layers:
+        ops = full_length(
+            layer.gamma.letters(), _LAYER_SITES, [layer.phi0, layer.phi1], np.ones(2)
+        )
+        state, _ = state.apply_mpo(ops, policy)
+        entropies.append(state.entanglement_entropy(circ.n // 2))
+    value = state.expect_pauli(transform_observable(circ.residual, obs))
+    return value, entropies, state.is_zero
+
+
+def vertical_reference(circ, obs, bits, policy):
+    y = Mps.from_site_vectors([computational_pauli_vector(b) for b in bits])
+    for layer in circ.layers:
+        coeffs = folded_coefficients(layer.phi0, layer.phi1)
+        y, _ = y.apply_mpo(
+            full_length(layer.gamma.letters(), _FOLDED_ROWS, coeffs, np.ones(4)), policy
+        )
+        if y.is_zero:
+            return 0.0, True
+    nu = transform_observable(circ.residual, obs)
+    raw = y.select_components(nu.letters()) * 2**circ.n
+    return nu.sign * raw.real, False
+
+
+def horizontal_reference(circ, obs, bits, policy):
+    nu = transform_observable(circ.residual, obs)
+    work = TruncationPolicy(policy.chi_max, policy.svd_cutoff, renormalize=True)
+    chain = Mps.from_site_vectors(
+        folded_coefficients(layer.phi0, layer.phi1) for layer in circ.layers
+    )
+    entropies = []
+    for j in range(circ.n):
+        letters = [layer.gamma.letter(j) for layer in circ.layers]
+        top = 2.0 * np.eye(4)[nu.letter(j)]
+        bottom = computational_pauli_vector(bits[j])
+        chain, _ = chain.apply_mpo(
+            full_length(letters, _FOLDED_COLUMNS, bottom, top), work
+        )
+        entropies.append(chain.entanglement_entropy(ceil(circ.m / 2)))
+        if chain.is_zero:
+            return 0.0, entropies + [0.0] * (circ.n - j - 1), True
+    closure = Mps.from_site_vectors(np.ones(4) for _ in range(circ.m))
+    return nu.sign * inner(closure, chain).real, entropies, False
+
+
+def assert_windows_match_full_length(circ, obs, bits) -> tuple:
+    """The three contractions against their references; returns the horizontal."""
+    lay = expectation(Mps.product_state(bits), circ, obs, EXACT)
+    value, entropies, zero = layers_reference(circ, obs, bits, EXACT)
+    assert lay.value == pytest.approx(value, abs=1e-12)
+    assert lay.entropy_bits == pytest.approx(entropies, abs=1e-12)
+    assert lay.zero_state == zero
+    vert = vertical_fold_evolve(circ, obs, bits, EXACT)
+    value, zero = vertical_reference(circ, obs, bits, EXACT)
+    assert vert.value == pytest.approx(value, abs=1e-12)
+    assert vert.zero_state == zero
+    horiz = horizontal_contract(circ, obs, bits, EXACT)
+    value, entropies, zero = horizontal_reference(circ, obs, bits, EXACT)
+    assert horiz.value == pytest.approx(value, abs=1e-12)
+    assert horiz.entropy_bits == pytest.approx(entropies, abs=1e-12)
+    assert horiz.zero_state == zero
+    return horiz
+
+
+def test_windows_match_full_length_on_tdoped_circuits():
+    # untruncated prefixes of seeded T-doped circuits, random observables and
+    # bits; early prefixes have columns whose layer letters are all I
+    rng = np.random.default_rng(76)
+    scalar_columns = 0
+    for n, m in ((4, 3), (6, 5), (8, 6)):
+        for _ in range(3):
+            blocks = sample_tdoped_blocks(n, m, 1, rng)
+            for k in range(1, m + 1):
+                circ = compile_blocks(n, blocks[:k])
+                obs = PauliString.from_letters(rng.integers(4, size=n))
+                bits = [int(b) for b in rng.integers(2, size=n)]
+                assert_windows_match_full_length(circ, obs, bits)
+                support = set().union(*(layer.gamma.support for layer in circ.layers))
+                scalar_columns += n - len(support)
+    assert scalar_columns > 0
+
+
+@pytest.mark.parametrize("first", "IZXY")
+@pytest.mark.parametrize("fourth", "IZXY")
+def test_all_identity_columns_are_scalars(first, fourth):
+    # columns 0 and 3 carry only I letters, and one layer is the identity
+    # string: each such column multiplies the chain by 2 v_bit[nu_j]
+    n = 5
+    layers = [
+        StabMpoLayer(PauliString.from_literal(text), theta)
+        for text, theta in (("IXZIY", 0.7), ("-IZYIX", 1.3), ("IIIII", 0.9), ("IYXIZ", -0.4))
+    ]
+    circ = trivial_circuit(n, layers)
+    obs = PauliString.from_literal(first + "YY" + fourth + "Z")
+    zero_at = [j for j, mu in ((0, first), (3, fourth)) if mu in "XY"]
+    values = {}
+    for b0 in (0, 1):
+        for b3 in (0, 1):
+            horiz = assert_windows_match_full_length(circ, obs, [b0, 0, 0, b3, 0])
+            values[b0, b3] = horiz.value
+            assert horiz.zero_state == bool(zero_at)
+            if zero_at:  # the chain is zero at that column, and stays padded
+                assert horiz.value == 0.0
+                assert horiz.entropy_bits[zero_at[0] :] == [0.0] * (n - zero_at[0])
+    if not zero_at:  # each Z over bit 1 flips the sign
+        assert abs(values[0, 0]) > 0.05
+        for (b0, b3), value in values.items():
+            sign = (-1) ** ((first == "Z") * b0 + (fourth == "Z") * b3)
+            assert value == pytest.approx(sign * values[0, 0], abs=1e-12)
 
 
 def test_write_temporal_csv(tmp_path):
