@@ -248,12 +248,17 @@ class Contraction:
     zero_state: bool = False
 
     def record(self, state: Mps, err: float, entropy: float | None = None) -> bool:
-        """Record one step, with its entropy if given; True once zero."""
+        """Record one step, with its entropy if given; True once zero.
+
+        A state the step has zeroed keeps unswept bonds, so only a nonzero
+        state's bonds count towards ``max_bond``.
+        """
         self.truncation.append(err)
         if entropy is not None:
             self.entropy_bits.append(entropy)
-        self.max_bond = max(self.max_bond, state.max_bond)
         self.zero_state = state.is_zero
+        if not self.zero_state:
+            self.max_bond = max(self.max_bond, state.max_bond)
         return self.zero_state
 
 

@@ -149,12 +149,21 @@ class FloquetConfig:
         return TruncationPolicy(chi_max=self.chi, renormalize=True)
 
     def measure(self, state: Mps, tableau: CliffordTableau) -> float:
-        """Magnetization: the mean of <Z_j> pulled back through ``tableau``."""
-        mz = 0.0
+        """Magnetization: the mean of <Z_j> pulled back through ``tableau``.
+
+        A U(1) Clifford maps each Z_j to +Z at a site pi(j); every single-site
+        pull-back is read in one ``Mps.expect_local`` pass, and any other
+        string by ``expect_pauli``.
+        """
+        letters, signs, mz = np.zeros(self.n, dtype=int), np.zeros(self.n), 0.0
         for j in range(self.n):
-            mz += state.expect_pauli(
-                transform_observable(tableau, PauliString.single(self.n, j, 3))
-            )
+            nu = transform_observable(tableau, PauliString.single(self.n, j, 3))
+            if nu.weight > 1:
+                mz += state.expect_pauli(nu)
+                continue
+            (site,) = nu.support  # images of distinct Z_j never share a site
+            letters[site], signs[site] = nu.letter(site), nu.sign
+        mz += float(np.dot(signs, state.expect_local(letters)))
         return mz / self.n
 
     def reference(self, m: int) -> tuple:

@@ -65,6 +65,31 @@ def _truncate_spectrum(w: np.ndarray, policy: TruncationPolicy) -> tuple[int, fl
     return k, discarded
 
 
+def _keeps_every_weight(rho: np.ndarray, policy: TruncationPolicy) -> bool:
+    """True when ``_truncate_spectrum`` would keep every eigenvalue of ``rho``.
+
+    That needs len(rho) <= chi_max, a positive trace and, unless rho is 1x1
+    or the cutoff is 0, every eigenvalue above svd_cutoff * tr rho: exactly
+    when rho minus that shift has a Cholesky factor.  The shift goes on a
+    copy, so a failed test hands ``eigh`` the unchanged rho.
+    """
+    k = len(rho)
+    if k > policy.chi_max:
+        return False
+    total = float(np.trace(rho).real)
+    if not total > 0.0:
+        return False
+    if k == 1 or policy.svd_cutoff == 0.0:
+        return True
+    shifted = rho.copy()
+    shifted.flat[:: k + 1] -= policy.svd_cutoff * total
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def basis_bits(bits) -> list[int]:
     """Computational-basis labels as ints; each raw value must equal 0 or 1."""
     bits = list(bits)
@@ -260,9 +285,11 @@ class Mps:
             lo, hi = sites[0], sites[-1]
             work = self.move_center(min(max(self.center, lo), hi))
         tensors = list(work.tensors)
-        for j in sites:
-            merged = np.einsum("loiw,bir->lbowr", ops[j], tensors[j])
-            wl, bl, o, wr, br = merged.shape
+        for j in sites:  # (wl, o, wr | i) . (i | bl, br), then (wl bl, o, wr br)
+            (wl, o, i, wr), (bl, _, br) = ops[j].shape, tensors[j].shape
+            op = ops[j].transpose(0, 1, 3, 2).reshape(-1, i)
+            merged = np.dot(op, tensors[j].transpose(1, 0, 2).reshape(i, -1))
+            merged = merged.reshape(wl, o, wr, bl, br).transpose(0, 3, 1, 2, 4)
             tensors[j] = merged.reshape(wl * bl, o, wr * br)
         return self._sweep(tensors, lo, hi, policy)
 
@@ -281,11 +308,14 @@ class Mps:
         leaves a unit tensor, cutting that bond to d·dr; from the first other
         site on, each bond's right Gram environment E ← Σ_s M_s E M_s† is kept
         (None: identity).  Left to right, T (dl·d × dr), or R of T = QR if
-        tall, splits by the eigenvectors of ρ = T E T† (R E R†).  The sites
-        left of i are orthonormal, so ρ's eigenvalues are the squared Schmidt
-        values, to about 1e-16·tr ρ (below the default cutoff).  The top k,
-        U_k, make the site (Q U_k); the carry U_k† T (U_k† R) is the exact
-        projection, so the summed discarded weight returned is the loss.
+        tall, splits by ρ = T E T† (R E R†).  The sites left of i are
+        orthonormal, so ρ's eigenvalues are the squared Schmidt values, to
+        about 1e-16·tr ρ (below the default cutoff).  Where the policy would
+        keep all of them (``_keeps_every_weight``) the split is a gauge step:
+        the identity (Q) is the site and T (R) the carry, at no loss.
+        Otherwise the top k eigenvectors U_k make the site (Q U_k); the carry
+        U_k† T (U_k† R) is the exact projection, so the summed discarded
+        weight returned is the loss of this sweep.
         """
         envs, units, env = {}, set(), None
         for i in range(hi, lo, -1):
@@ -306,12 +336,18 @@ class Mps:
                 q, t = np.linalg.qr(t)
             env = envs.get(i + 1)
             te = t if env is None else np.dot(t, env)
-            w, v = np.linalg.eigh(np.dot(te, t.conj().T))
-            k, err = _truncate_spectrum(np.clip(w[::-1], 0.0, None), policy)
-            total_err += err
-            u = v[:, ::-1][:, :k]
-            tensors[i] = (u if q is None else np.dot(q, u)).reshape(dl, d, k)
-            carry = np.dot(u.conj().T, t)
+            rho = np.dot(te, t.conj().T)
+            if _keeps_every_weight(rho, policy):  # a gauge step: the site is Q or I
+                k, carry = len(rho), t
+                site = np.eye(k, dtype=t.dtype) if q is None else q
+            else:
+                w, v = np.linalg.eigh(rho)
+                k, err = _truncate_spectrum(np.clip(w[::-1], 0.0, None), policy)
+                total_err += err
+                u = v[:, ::-1][:, :k]
+                site = u if q is None else np.dot(q, u)
+                carry = np.dot(u.conj().T, t)
+            tensors[i] = site.reshape(dl, d, k)
             nxt = carry if i + 1 in units else _absorb_left(carry, tensors[i + 1])
             tensors[i + 1] = nxt.reshape(k, *tensors[i + 1].shape[1:])
 
@@ -354,11 +390,7 @@ class Mps:
             sites = work.tensors[c : cut - 1 : -1]
         else:  # mirrored: the same step then carries conj(E), same spectrum
             sites = [t.transpose(2, 1, 0) for t in work.tensors[c:cut]]
-        env = np.eye(sites[0].shape[2], dtype=np.complex128)
-        for t in sites:  # E <- sum_s A_s E A_s^dag
-            dl, d, dr = t.shape
-            tmp = np.dot(t.reshape(dl * d, dr), env).reshape(dl, d * dr)
-            env = np.dot(tmp, t.reshape(dl, d * dr).conj().T)
+        _, env = _gram_walk(sites)
         p = np.clip(np.linalg.eigvalsh(env)[::-1], 0.0, None)
         total = float(np.sum(p))
         if total == 0.0:
@@ -394,6 +426,30 @@ class Mps:
             raise ValueError(f"expectation has imaginary residual {value.imag}")
         return float(value.real)
 
+    def expect_local(self, letters) -> np.ndarray:
+        """<sigma^{letters[j]}_j> for every site j, normalized and real.
+
+        One pass from the center to each end carries the Gram environment of
+        the sites in between (as ``schmidt_spectrum``), so each site costs
+        one step instead of ``expect_pauli``'s walk from the center.  A state
+        without a center first moves it to site 0.
+        """
+        if len(letters) != self.n:
+            raise ValueError("length mismatch")
+        if self.is_zero:
+            return np.zeros(self.n)
+        if self.center is None:
+            return self.move_center(0).expect_local(letters)
+        c = self.center
+        left = _local_values(self.tensors[c::-1], letters[c::-1])
+        mirrored = [t.transpose(2, 1, 0) for t in self.tensors[c:]]
+        right = _local_values(mirrored, letters[c:])
+        center = self.tensors[c]
+        values = np.array(left[::-1] + right[1:]) / np.vdot(center, center)
+        if np.any(np.abs(values.imag) > 1e-10 * np.maximum(1.0, np.abs(values))):
+            raise ValueError(f"expectation has imaginary residual {values.imag}")
+        return values.real
+
     def to_dense(self, cap: int = ORACLE_CAP) -> np.ndarray:
         """Dense statevector (qubit 0 most significant); guarded by ``cap``."""
         dim = 1
@@ -413,6 +469,30 @@ class Mps:
         for t, idx in zip(self.tensors, indices):
             v = v @ t[:, int(idx), :]
         return complex(v[0] * np.exp(self.log_norm))
+
+
+def _gram_walk(sites) -> tuple[list[np.ndarray], np.ndarray]:
+    """Walk outward from the center: each site A times the Gram environment E
+    of the sites before it (E <- sum_s (A E)_s A_s^dag, from the identity),
+    and the E past the last site.  Mirrored sites (bonds swapped) carry
+    conj(E), which has the same spectrum and Hermitian expectations.
+    """
+    walked, env = [], None
+    for t in sites:
+        dl, d, dr = t.shape
+        te = t if env is None else np.dot(t.reshape(dl * d, dr), env).reshape(t.shape)
+        walked.append(te)
+        env = np.dot(te.reshape(dl, d * dr), t.reshape(dl, d * dr).conj().T)
+    return walked, env
+
+
+def _local_values(sites, letters) -> list[complex]:
+    """<A| sigma^mu |A E> per site of a walk from the center (``_gram_walk``)."""
+    walked, _ = _gram_walk(sites)
+    return [
+        np.vdot(t, np.matmul(SIGMA[mu], te) if mu else te)
+        for t, te, mu in zip(sites, walked, letters)
+    ]
 
 
 def _absorb_left(mat: np.ndarray, t: np.ndarray) -> np.ndarray:

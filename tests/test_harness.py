@@ -5,8 +5,15 @@ from math import cos, pi, sqrt
 import numpy as np
 import pytest
 
-from stabmpo.circuit import compile_blocks, expectation, t_gate
-from stabmpo.clifford import CliffordCircuit, Gate
+from conftest import random_clifford_circuit, random_mps
+from stabmpo.circuit import (
+    StabMpoCompiler,
+    compile_blocks,
+    expectation,
+    t_gate,
+    transform_observable,
+)
+from stabmpo.clifford import CliffordCircuit, Gate, sample_u1_clifford
 from stabmpo.harness import (
     FloquetConfig,
     TDopedConfig,
@@ -216,6 +223,24 @@ def test_floquet_mean_tracks_analytic_small():
     for row in res.aggregate_rows:
         _track, m, _e, _ee, mag_mean, mag_err, analytic = row
         assert abs(mag_mean - analytic) <= max(4 * mag_err, 0.05)
+
+
+def test_floquet_measure_matches_expect_pauli_for_every_pullback():
+    # U(1) Cliffords pull each Z_j back to a single-site string (one local
+    # pass); generic ones give longer strings (expect_pauli)
+    rng = np.random.default_rng(32)
+    for n in (3, 6, 9):
+        cfg = FloquetConfig(n=n)
+        state = random_mps(rng, n).move_center(int(rng.integers(n)))
+        for circ in (sample_u1_clifford(n, rng), random_clifford_circuit(rng, n, 3 * n)):
+            comp = StabMpoCompiler(n)
+            comp.push_clifford(circ)
+            pulled = [
+                transform_observable(comp.tableau, PauliString.single(n, j, 3))
+                for j in range(n)
+            ]
+            want = np.mean([state.expect_pauli(nu) for nu in pulled])
+            assert abs(cfg.measure(state, comp.tableau) - want) < 1e-12
 
 
 def test_floquet_config_validation():

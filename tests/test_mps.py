@@ -13,11 +13,18 @@ from conftest import (
     random_state_vector,
     random_unitary,
 )
-from stabmpo.circuit import StabMpoLayer, apply_layer
+from stabmpo.circuit import StabMpoLayer, apply_layer, compile_blocks
 from stabmpo.clifford import CliffordCircuit, Gate, sample_brickwall
 from stabmpo.dense import GATE_1Q, GATE_2Q, apply_circuit, apply_pauli, basis_state
-from stabmpo.harness import apply_gates
-from stabmpo.mps import Mps, TruncationPolicy, cap_mpo, diagonal_mpo, inner
+from stabmpo.harness import apply_gates, sample_tdoped_blocks
+from stabmpo.mps import (
+    Mps,
+    TruncationPolicy,
+    _truncate_spectrum,
+    cap_mpo,
+    diagonal_mpo,
+    inner,
+)
 from stabmpo.pauli import SIGMA, PauliString
 from stabmpo.temporal import FOLDED_BLOCKS, computational_pauli_vector, folded_coefficients
 
@@ -346,6 +353,28 @@ def test_local_expect_pauli_matches_full_contraction():
                 assert abs(state.expect_pauli(p) - full.expect_pauli(p)) < 1e-12
 
 
+def test_expect_local_matches_expect_pauli_at_every_center():
+    rng = np.random.default_rng(65)
+    for n in (3, 6, 9):
+        m = random_mps(rng, n)
+        for center in (*range(n), None):
+            state = Mps(m.tensors) if center is None else m.move_center(center)
+            if center is not None:  # unnormalized: the center tensor scaled
+                tensors = list(state.tensors)
+                tensors[center] = tensors[center] * rng.uniform(0.3, 3.0)
+                state = Mps(tensors, center=center)
+            letters = rng.integers(4, size=n)
+            got = state.expect_local(letters)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            for j, mu in enumerate(letters):
+                want = state.expect_pauli(PauliString.single(n, j, mu))
+                assert abs(got[j] - want) < 1e-12, (n, center, j)
+    with pytest.raises(ValueError, match="length"):
+        m.expect_local([3] * (m.n - 1))
+    zero, _ = two_branch(random_mps(rng, 4), 1.0, -1.0, [0] * 4)
+    assert zero.is_zero and list(zero.expect_local([3, 1, 2, 0])) == [0.0] * 4
+
+
 def test_lossy_window_layer_reports_dense_fidelity_loss():
     # the reported discarded weight of one window-local layer is the dense 1 - F
     rng = np.random.default_rng(88)
@@ -477,6 +506,123 @@ def test_sweep_zero_and_renormalized_states():
             assert np.linalg.norm(got - want) <= 1e-12 * np.sqrt(norm2)
         else:
             assert err > 1e-6, "the chi=2 sweep cut nothing"
+
+
+def test_summed_amplitude_bounds_final_fidelity_loss():
+    # each layer's summed weight eps_k bounds that layer's 1 - F, and unitary
+    # layers keep angles, so the final 1 - F <= (sum_k sqrt(eps_k))^2; the
+    # plain sum of eps_k need not bound it
+    n, worst = 10, 0.0
+    for chi in (2, 4):
+        for seed in range(40):
+            rng = np.random.default_rng([seed, n, chi])
+            layers = compile_blocks(n, sample_tdoped_blocks(n, 12, 1, rng)).layers
+            exact = lossy = Mps.product_state([0] * n)
+            amplitude = 0.0
+            for layer in layers:
+                exact, _ = apply_layer(exact, layer, TruncationPolicy(2 ** (n // 2)))
+                lossy, err = apply_layer(lossy, layer, TruncationPolicy(chi))
+                amplitude += np.sqrt(err)
+            overlap = abs(inner(lossy, exact)) ** 2
+            loss = 1.0 - overlap / (inner(lossy, lossy).real * inner(exact, exact).real)
+            assert loss <= amplitude**2 + 1e-12, (chi, seed)
+            worst = max(worst, loss / max(amplitude**2, 1e-300))
+    assert worst > 0.5, "no run came near the bound"
+
+
+# ----------------------------------------------------------------------
+# the certified split: eigh only where the policy cuts
+# ----------------------------------------------------------------------
+def dense_to_mps(vec: np.ndarray, n: int) -> Mps:
+    """Qubit chain of a dense vector by exact SVDs (every bond min(2^i, 2^(n-i)))."""
+    tensors, rest = [], vec.reshape(1, -1)
+    for _ in range(n - 1):
+        bl = rest.shape[0]
+        u, s, vh = np.linalg.svd(rest.reshape(bl * 2, -1), full_matrices=False)
+        tensors.append(u.reshape(bl, 2, -1))
+        rest = s[:, None] * vh
+    return Mps(tensors + [rest.reshape(-1, 2, 1)], center=n - 1)
+
+
+def schmidt_state(rng, tail) -> tuple[Mps, np.ndarray]:
+    """Six qubits whose eight Schmidt weights at cut 3 end in ``tail`` (relative)."""
+    head = np.array([0.3, 0.25, 0.2, 0.1, 0.08, 0.05, 0.02, 1e-3][: 8 - len(tail)])
+    w = np.concatenate([head * (1.0 - sum(tail)) / head.sum(), tail])
+    u = random_unitary(rng, 8)
+    v = random_unitary(rng, 8)
+    vec = (u * np.sqrt(w)) @ v.T
+    return dense_to_mps(vec.reshape(-1), 6), w
+
+
+def dense_cut_weights(vec: np.ndarray, cut: int) -> np.ndarray:
+    s = np.linalg.svd(vec.reshape(2**cut, -1), compute_uv=False)
+    return s**2
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The size of every matrix handed to np.linalg.eigh."""
+    sizes, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
+
+
+def test_certified_split_cuts_exactly_where_the_eigen_split_cuts(eigh_sizes):
+    rng = np.random.default_rng(95)
+    policy = TruncationPolicy(chi_max=64)
+    for tail, cut_eighs in (((3e-12, 5e-13), [8]), ((3e-12, 2e-12), [])):
+        state, w = schmidt_state(rng, np.array(tail))
+        vec = state.to_dense()
+        eigh_sizes.clear()
+        out, err = state.compress(policy)
+        assert eigh_sizes == cut_eighs, tail
+        assert out.bond_dims[3] == _truncate_spectrum(w, policy)[0]
+        for cut in (1, 2, 4, 5):  # generic spectra, nothing below the cutoff
+            k, _ = _truncate_spectrum(dense_cut_weights(vec, cut), policy)
+            assert out.bond_dims[cut] == k == min(2**cut, 2 ** (6 - cut))
+        if cut_eighs:
+            assert out.bond_dims[3] == 7
+            assert abs(err - w[-1]) < 1e-15
+            assert 1.0 - fidelity(out.to_dense(), vec) <= err + 1e-15
+        else:
+            assert out.bond_dims[3] == 8 and err == 0.0
+            assert np.linalg.norm(out.to_dense() - vec) < 1e-12
+            assert_canonical(out)
+            # the kept sites are the identity (wide or square T) and Q (tall T)
+            for i in range(3):
+                size = 2 ** (i + 1)
+                assert np.array_equal(out.tensors[i].reshape(size, -1), np.eye(size))
+
+
+def test_split_above_chi_max_always_goes_to_eigh(eigh_sizes):
+    # the spectrum at every cut is far above the cutoff, so only chi_max cuts
+    rng = np.random.default_rng(96)
+    state, _ = schmidt_state(rng, np.array([]))
+    for chi, cuts in ((8, []), (4, [8]), (2, [4, 4, 4])):
+        eigh_sizes.clear()
+        out, err = state.compress(TruncationPolicy(chi_max=chi))
+        assert eigh_sizes == cuts, chi
+        assert out.max_bond == chi and (err > 1e-3) == bool(cuts)
+        assert_canonical(out)
+
+
+def test_zero_cutoff_keeps_zero_weights_without_eigh(eigh_sizes):
+    rng = np.random.default_rng(97)
+    state, _ = schmidt_state(rng, np.array([0.0] * 6))  # Schmidt rank 2 at cut 3
+    assert state.bond_dims == (1, 2, 4, 8, 4, 2, 1)
+    out, err = state.compress(TruncationPolicy(chi_max=64, svd_cutoff=0.0))
+    assert eigh_sizes == [] and err == 0.0
+    assert out.bond_dims == state.bond_dims
+    assert np.linalg.norm(out.to_dense() - state.to_dense()) < 1e-12
+    assert_canonical(out)
+    out, err = state.compress(TruncationPolicy(chi_max=64))
+    assert out.bond_dims[3] == 2 and eigh_sizes
+    assert np.linalg.norm(out.to_dense() - state.to_dense()) < 1e-12
 
 
 # ----------------------------------------------------------------------

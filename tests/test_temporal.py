@@ -7,6 +7,7 @@ import pytest
 
 from stabmpo.circuit import (
     _LAYER_SITES,
+    Contraction,
     RotationGate,
     StabMpoCircuit,
     StabMpoLayer,
@@ -17,7 +18,7 @@ from stabmpo.circuit import (
 )
 from stabmpo.clifford import CliffordCircuit, CliffordTableau, Gate
 from stabmpo.harness import dense_oracle_run, realization_rng, sample_tdoped_blocks
-from stabmpo.mps import Mps, TruncationPolicy, cap_mpo, inner
+from stabmpo.mps import Mps, TruncationPolicy, cap_mpo, inner, window_mpo
 from stabmpo.pauli import SIGMA, PauliString, pauli_coefficient
 from stabmpo.temporal import (
     _FOLDED_COLUMNS,
@@ -284,6 +285,25 @@ def test_contractions_record_one_entry_per_step():
     assert gone.zero_state and gone.entropy_bits == [0.0, 0.0]
 
 
+def test_zeroed_chain_bonds_do_not_count_towards_max_bond():
+    # a hand-built column that scales the chain below the zero threshold: the
+    # zero state keeps the merged bonds of its window, which no nonzero step
+    # reached, so the record leaves max_bond at the last nonzero chain's
+    rng = np.random.default_rng(78)
+    m = 6
+    work = TruncationPolicy(chi_max=4**m, renormalize=True)
+    chain = Mps.from_site_vectors(rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4)))
+    res = Contraction()
+    for scale in (1.0, 1.0, 1e-15):
+        letters = rng.integers(1, 4, size=m)
+        caps = scale * computational_pauli_vector(0), 2.0 * np.eye(4)[3]
+        before = chain.max_bond
+        chain, err = chain.apply_mpo(window_mpo(letters, _FOLDED_COLUMNS, *caps), work)
+        assert res.record(chain, err, 0.0) == chain.is_zero == (scale < 1.0)
+    assert chain.max_bond > before > 1
+    assert res.max_bond == before and res.zero_state
+
+
 def test_horizontal_pi_layer_with_x_observable_collapses_chain():
     # theta = pi layers make the identity branch weight ~1e-33; a column whose
     # observable letter anticommutes with the string then annihilates the chain
@@ -352,7 +372,7 @@ def test_horizontal_rejects_length_mismatch():
     strict=True,
     raises=ValueError,
     reason="ROADMAP item 5: a truncated folded sweep can leave an imaginary "
-    "residual (0.0044 here); a real gauge for the folded network closes it",
+    "residual (0.089 here); a real gauge for the folded network closes it",
 )
 def test_horizontal_truncated_sweep_has_no_imaginary_residual():
     # `stabmpo temporal --n 12 --m 16 --d 1 --chi 4 --realizations 15 --seed 1`
