@@ -14,6 +14,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
+from .circuit import compile_blocks
 from .harness import (
     FloquetConfig,
     TDopedConfig,
@@ -102,29 +103,18 @@ def main(argv=None) -> int:
 
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-        if args.command in ("tdoped", "temporal"):
-            cfg = config_from_sources(
-                TDopedConfig, file_values, _collect(args, TDopedConfig)
-            )
+        if args.command in ("tdoped", "temporal", "floquet"):
+            floquet = args.command == "floquet"
+            cls = FloquetConfig if floquet else TDopedConfig
+            cfg = config_from_sources(cls, file_values, _collect(args, cls))
             if args.command == "temporal":
                 cfg.run_temporal = True
             outdir = Path(args.out) if args.out else Path(f"{args.command}_out")
-            res = run_tdoped(cfg, outdir)
-            print(f"wrote {res.outdir}")
-            return 0
-
-        if args.command == "floquet":
-            cfg = config_from_sources(
-                FloquetConfig, file_values, _collect(args, FloquetConfig)
-            )
-            outdir = Path(args.out) if args.out else Path("floquet_out")
-            res = run_floquet(cfg, outdir)
+            res = (run_floquet if floquet else run_tdoped)(cfg, outdir)
             print(f"wrote {res.outdir}")
             return 0
 
         if args.command == "compile":
-            from .circuit import compile_blocks
-
             cfg = config_from_sources(
                 TDopedConfig, file_values, _collect(args, TDopedConfig)
             )

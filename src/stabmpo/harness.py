@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from math import cos, pi, sqrt
 from pathlib import Path
 from typing import ClassVar
@@ -36,9 +36,9 @@ from .clifford import (
     sample_brickwall,
     sample_u1_clifford,
 )
-from .dense import GATE_2Q, gate_matrix, rotation_matrix, run_blocks
+from .dense import GATE_2Q, apply_unitary, gate_matrix, rotation_matrix, run_blocks
 from .dense import expectation as dense_expectation
-from .mps import Mps, TruncationPolicy, basis_bits
+from .mps import Mps, TruncationPolicy, basis_bits, split_two_site
 from .pauli import PauliString
 from .temporal import horizontal_contract, write_temporal_csv
 
@@ -247,8 +247,6 @@ def twirl_s_channel_check(epsilons=(0.0, 0.1, 0.3), atol: float = 1e-12) -> bool
         return False
 
     # correlated CZ on (system, replica) pairs, qubit order (c, c', t, t')
-    from .dense import apply_unitary
-
     eye16 = np.eye(16, dtype=np.complex128)
     cz_pair = apply_unitary(
         apply_unitary(eye16, GATE_2Q["CZ"], (0, 2), 4), GATE_2Q["CZ"], (1, 3), 4
@@ -288,20 +286,31 @@ def dense_oracle_run(n: int, blocks, bits, observable: PauliString | None = None
 # the study driver: one realization loop, one run/aggregate/write path
 # ----------------------------------------------------------------------
 def apply_gates(state: Mps, circ, policy: TruncationPolicy) -> tuple[Mps, list[float]]:
-    """Gate-by-gate evolution; returns the state and each two-qubit gate's loss.
+    """Sublayer-by-sublayer evolution; returns the state and each sublayer's loss.
 
-    Two-qubit gates must act on adjacent qubits (a, a + 1).
+    A run of gates on disjoint qubits is one sublayer and one ``Mps.apply_mpo``
+    window: a one-qubit gate is a bond-1 site, a two-qubit gate, which must
+    act on adjacent qubits (a, a + 1), its two ``split_two_site`` sites.  All
+    of the circuit's two-qubit gates are split in one call.
     """
-    errs = []
+    mats = [gate_matrix(g) for g in circ.gates if len(g.qubits) == 2]
+    pairs = iter(split_two_site(mats) if mats else ())
+    sublayers, busy = [], set()
     for g in circ.gates:
-        u = gate_matrix(g)
+        if not sublayers or busy.intersection(g.qubits):
+            sublayers.append([None] * circ.n)
+            busy = set()
+        busy.update(g.qubits)
         if len(g.qubits) == 1:
-            state = state.apply_1q_gate(u, g.qubits[0])
+            sublayers[-1][g.qubits[0]] = gate_matrix(g)[None, :, :, None]
             continue
         a, b = g.qubits
         if b != a + 1:
             raise ValueError(f"gate {g.name} on {g.qubits} is not on adjacent qubits")
-        state, err = state.apply_2q_gate(u, a, policy)
+        sublayers[-1][a], sublayers[-1][b] = next(pairs)
+    errs = []
+    for ops in sublayers:
+        state, err = state.apply_mpo(ops, policy)
         errs.append(err)
     return state, errs
 
@@ -343,7 +352,7 @@ def _realization(cfg: TDopedConfig | FloquetConfig, realization: int) -> dict:
         cum += err
         if base is not None:
             base, gate_errs = apply_gates(base, circ, policy)
-            for gerr in gate_errs:  # gate by gate: the running sum keeps its rounding
+            for gerr in gate_errs:  # per sublayer: the running sum keeps its rounding
                 cum_base += gerr
             base = base.apply_1q_gate(rotation_matrix(rot.axis, rot.theta), rot.site)
         if k % cfg.record_every:
@@ -500,16 +509,14 @@ _BOOL_WORDS = {
 
 def config_from_sources(cls, file_values: dict, overrides: dict):
     """Build a config dataclass from file values plus CLI overrides."""
-    import dataclasses
-
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    types = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     for key, val in merged.items():
-        if key not in fields:
+        if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        ftype = fields[key].type
+        ftype = types[key]
         if isinstance(val, str):
             if ftype in ("int", int):
                 val = int(val)

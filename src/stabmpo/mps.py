@@ -52,6 +52,9 @@ def _truncate_spectrum(w: np.ndarray, policy: TruncationPolicy) -> tuple[int, fl
     """Number of weights to keep and the discarded relative weight.
 
     ``w`` holds the squared Schmidt values, nonnegative and largest first.
+    After the cap and the cutoff pick k, k drops below any multiplet it would
+    split (s_{k-1} - s_k <= 1e-8 s_0, s = sqrt(w)), so rounding never picks
+    among equal values, unless the top multiplet alone exceeds the cap.
     """
     total = float(np.sum(w))
     if total == 0.0:
@@ -60,7 +63,10 @@ def _truncate_spectrum(w: np.ndarray, policy: TruncationPolicy) -> tuple[int, fl
     if policy.svd_cutoff > 0.0:
         above = int(np.count_nonzero(w / total >= policy.svd_cutoff))
         k = min(k, max(above, 1))
-    k = max(k, 1)
+    s, whole = np.sqrt(w), k
+    while 0 < whole < len(w) and s[whole - 1] - s[whole] <= 1e-8 * s[0]:
+        whole -= 1
+    k = whole or k
     discarded = float(np.sum(w[k:])) / total
     return k, discarded
 
@@ -225,38 +231,15 @@ class Mps:
     def apply_2q_gate(
         self, u: np.ndarray, site: int, policy: TruncationPolicy
     ) -> tuple["Mps", float]:
-        """Apply a 4x4 gate on (site, site+1) with an SVD split.
+        """Apply a 4x4 gate on (site, site+1) as a one-brick ``apply_mpo`` window.
 
-        Returns the new state and the discarded relative Schmidt weight.
-        With ``policy.renormalize`` the pre-gate norm is restored after a
-        lossy split.
+        Returns the new state and the discarded relative weight.
         """
         if not 0 <= site < self.n - 1:
             raise ValueError("gate site out of range")
-        u = np.ascontiguousarray(u, dtype=np.complex128)  # as tensordot reshaped it
-        if u.shape != (4, 4):
-            raise ValueError("2q gate must be 4x4")
-        if not _is_unitary(u):
-            raise ValueError("gate is not unitary to 1e-10")
-
-        work = self.move_center(site)
-        tensors = work.tensors
-        a, b = tensors[site], tensors[site + 1]
-        dl, d0, _ = a.shape
-        _, d1, dr = b.shape
-        theta = np.dot(a.reshape(dl * d0, -1), b.reshape(-1, d1 * dr))
-        theta = theta.reshape(dl, d0 * d1, dr).transpose(1, 0, 2).reshape(d0 * d1, -1)
-        theta = np.dot(u, theta).reshape(d0, d1, dl, dr)  # (o0 o1 dl dr)
-        theta = theta.transpose(2, 0, 1, 3).reshape(dl * d0, d1 * dr)
-
-        uu, s, vh = np.linalg.svd(theta, full_matrices=False)
-        k, err = _truncate_spectrum(s * s, policy)
-        keep = s[:k]
-        if policy.renormalize and err > 0.0:
-            keep = keep * (np.linalg.norm(s) / np.linalg.norm(keep))
-        tensors[site] = uu[:, :k].reshape(dl, d0, k)
-        tensors[site + 1] = (keep[:, None] * vh[:k]).reshape(k, d1, dr)
-        return Mps(tensors, work.log_norm, site + 1, work.is_zero), err
+        ops = [None] * self.n
+        ops[site : site + 2] = split_two_site([u])[0]
+        return self.apply_mpo(ops, policy)
 
     def apply_mpo(
         self, ops: list[np.ndarray | None] | complex, policy: TruncationPolicy
@@ -506,11 +489,31 @@ def _absorb_right(t: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def _is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
-    d = mat.shape[0]
-    return bool(
-        mat.shape == (d, d)
-        and np.max(np.abs(mat.conj().T @ mat - np.eye(d))) <= tol
-    )
+    """True when ``mat``, one square matrix or a stack of them, is unitary to ``tol``."""
+    d = mat.shape[-1]
+    gram = np.matmul(np.swapaxes(mat.conj(), -1, -2), mat)
+    return bool(mat.shape[-2] == d and np.max(np.abs(gram - np.eye(d))) <= tol)
+
+
+def split_two_site(us) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Operator-Schmidt split of each 4x4 unitary into two operator sites.
+
+    u[(o0 o1), (i0 i1)] read as (o0 i0) x (o1 i1) has, from one batched SVD of
+    the stack, U s V^dag: the sites U (1, 2, 2, k) and s V^dag (k, 2, 2, 1),
+    k the singular values above 1e-14 s_0 (1, 2 or 4 for a Clifford).
+    """
+    us = np.asarray(us, dtype=np.complex128)
+    if us.ndim != 3 or us.shape[1:] != (4, 4):
+        raise ValueError("2q gate must be 4x4")
+    if not _is_unitary(us):
+        raise ValueError("gate is not unitary to 1e-10")
+    mats = us.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    u, s, vh = np.linalg.svd(mats)
+    ranks = np.count_nonzero(s > 1e-14 * s[:, :1], axis=1)
+    return [
+        (a[:, :k].reshape(1, 2, 2, k), (w[:k, None] * b[:k]).reshape(k, 2, 2, 1))
+        for a, w, b, k in zip(u, s, vh, ranks)
+    ]
 
 
 def inner(a: Mps, b: Mps) -> complex:

@@ -13,9 +13,16 @@ from conftest import (
     random_state_vector,
     random_unitary,
 )
-from stabmpo.circuit import StabMpoLayer, apply_layer, compile_blocks
+from stabmpo.circuit import RotationGate, StabMpoLayer, apply_layer, compile_blocks
 from stabmpo.clifford import CliffordCircuit, Gate, sample_brickwall
-from stabmpo.dense import GATE_1Q, GATE_2Q, apply_circuit, apply_pauli, basis_state
+from stabmpo.dense import (
+    GATE_1Q,
+    GATE_2Q,
+    apply_circuit,
+    apply_pauli,
+    basis_state,
+    brick_unitary,
+)
 from stabmpo.harness import apply_gates, sample_tdoped_blocks
 from stabmpo.mps import (
     Mps,
@@ -24,6 +31,7 @@ from stabmpo.mps import (
     cap_mpo,
     diagonal_mpo,
     inner,
+    split_two_site,
 )
 from stabmpo.pauli import SIGMA, PauliString
 from stabmpo.temporal import FOLDED_BLOCKS, computational_pauli_vector, folded_coefficients
@@ -133,6 +141,49 @@ def test_random_circuit_exact_regime_matches_dense():
             m, _ = m.apply_2q_gate(u, i, policy)
             vec = apply_unitary(vec, u, (i, i + 1), n)
     assert np.max(np.abs(m.to_dense() - vec)) < 1e-8
+
+
+def contract_sites(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The 4x4 matrix of a (1, 2, 2, k) and a (k, 2, 2, 1) operator site."""
+    return np.einsum("xoia,apjy->opij", left, right).reshape(4, 4)
+
+
+def test_split_two_site_rebuilds_each_gate():
+    rng = np.random.default_rng(34)
+    gates = [random_unitary(rng, 4) for _ in range(4)]
+    gates += [brick_unitary(int(i)) for i in rng.integers(11520, size=4)]
+    for u, (left, right) in zip(gates, split_two_site(gates)):
+        assert left.shape[:3] == (1, 2, 2) and right.shape[1:] == (2, 2, 1)
+        assert np.max(np.abs(contract_sites(left, right) - u)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "u, k",
+    [
+        (GATE_2Q["CNOT"], 2),
+        (GATE_2Q["SWAP"], 4),
+        (np.kron(GATE_1Q["H"], GATE_1Q["S"]), 1),
+    ],
+)
+def test_split_two_site_operator_schmidt_rank(u, k):
+    ((left, right),) = split_two_site([u])
+    assert left.shape == (1, 2, 2, k) and right.shape == (k, 2, 2, 1)
+
+
+@pytest.mark.parametrize("us", [[np.eye(2)], [np.diag([1.0, 1.0, 1.0, 2.0])], np.eye(4)])
+def test_split_two_site_rejects_bad_gates(us):
+    with pytest.raises(ValueError):
+        split_two_site(us)
+
+
+def test_2q_gate_renormalize_moves_the_scale_into_log_norm():
+    rng = np.random.default_rng(35)
+    m = random_mps(rng, 6)
+    policy = TruncationPolicy(chi_max=2, renormalize=True)
+    out, err = m.apply_2q_gate(random_unitary(rng, 4), 2, policy)
+    assert err > 1e-3
+    assert out.raw_norm() == pytest.approx(1.0, abs=1e-12)
+    assert out.norm() ** 2 == pytest.approx(1.0 - err, abs=1e-12)
 
 
 def two_branch(m: Mps, ca: complex, cb: complex, letters) -> tuple[Mps, float]:
@@ -531,6 +582,47 @@ def test_summed_amplitude_bounds_final_fidelity_loss():
 
 
 # ----------------------------------------------------------------------
+# the truncation rule: a multiplet is kept or dropped whole
+# ----------------------------------------------------------------------
+def test_truncation_keeps_or_drops_a_multiplet_whole():
+    w = np.array([0.4, 0.2, 0.2, 0.1 + 1e-13, 0.1])
+    assert _truncate_spectrum(w, TruncationPolicy(chi_max=4)) == (3, pytest.approx(0.2))
+    assert _truncate_spectrum(w, TruncationPolicy(chi_max=2))[0] == 1
+    assert _truncate_spectrum(w, TruncationPolicy(chi_max=3))[0] == 3
+
+
+def test_flat_spectrum_wider_than_chi_is_cut_at_chi_with_exact_weight():
+    k, err = _truncate_spectrum(np.full(10, 0.1), TruncationPolicy(chi_max=4))
+    assert k == 4 and abs(err - 0.6) < 1e-15
+    rng = np.random.default_rng(36)
+    u, v = random_unitary(rng, 8), random_unitary(rng, 8)
+    vec = (u @ v.T).reshape(-1) / np.sqrt(8)  # eight Schmidt weights 1/8 at cut 3
+    out, err = dense_to_mps(vec, 6).compress(TruncationPolicy(chi_max=4))
+    assert out.bond_dims[3] == 4 and abs(err - 0.5) < 1e-14
+    assert abs(1.0 - fidelity(out.to_dense(), vec) - err) < 1e-14
+
+
+def final_layer_entropy(blocks, scale: float, chi: int) -> float:
+    """Half-cut entropy after layer evolution of ``blocks``, every angle scaled."""
+    n = blocks[0][0].n
+    blocks = [(c, RotationGate(r.site, r.axis, r.theta * scale)) for c, r in blocks]
+    state = Mps.product_state([0] * n)
+    for layer in compile_blocks(n, blocks).layers:
+        state, _ = apply_layer(state, layer, TruncationPolicy(chi_max=chi))
+    return state.entanglement_entropy(n // 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_truncated_run_is_insensitive_to_angle_rounding(seed):
+    # a cut inside a degenerate multiplet would let rounding pick the kept
+    # vectors; whole multiplets make a 1e-14 change of every angle invisible
+    blocks = sample_tdoped_blocks(48, 30, 1, np.random.default_rng([51, seed]))
+    ref = final_layer_entropy(blocks, 1.0, 8)
+    assert ref > 1.0, "the run is not entangled"
+    assert abs(final_layer_entropy(blocks, 1.0 + 1e-14, 8) - ref) <= 1e-10
+
+
+# ----------------------------------------------------------------------
 # the certified split: eigh only where the policy cuts
 # ----------------------------------------------------------------------
 def dense_to_mps(vec: np.ndarray, n: int) -> Mps:
@@ -801,6 +893,16 @@ def random_adjacent_circuit(rng, n: int, length: int) -> CliffordCircuit:
     return CliffordCircuit(n, tuple(gates))
 
 
+def sublayer_count(circ) -> int:
+    """Runs of gates on disjoint qubits, as ``apply_gates`` groups them."""
+    count, busy = 0, set()
+    for g in circ.gates:
+        if not count or busy & set(g.qubits):
+            count, busy = count + 1, set()
+        busy |= set(g.qubits)
+    return count
+
+
 def test_apply_gates_matches_dense():
     rng = np.random.default_rng(47)
     n = 6
@@ -811,7 +913,7 @@ def test_apply_gates_matches_dense():
         bits = [int(b) for b in rng.integers(2, size=n)]
         m, errs = apply_gates(Mps.product_state(bits), circ, exact)
         vec = apply_circuit(basis_state(bits), circ)
-        assert len(errs) == sum(len(g.qubits) == 2 for g in circ.gates)
+        assert len(errs) == sublayer_count(circ)
         assert max(errs, default=0.0) == pytest.approx(0.0, abs=1e-14)
         assert fidelity(m.to_dense(), vec) > 1.0 - 1e-10
         p = random_pauli(rng, n)
@@ -824,13 +926,13 @@ def test_apply_gates_reports_each_truncated_gate():
     n = 6
     circ = sample_brickwall(n, 6, rng)
     cut, errs = apply_gates(Mps.product_state([0] * n), circ, TruncationPolicy(2))
-    assert len(errs) == sum(len(g.qubits) == 2 for g in circ.gates)
+    assert len(errs) == sublayer_count(circ) == 6
     assert min(errs) >= 0.0 and sum(errs) > 0.0
     assert cut.max_bond == 2
 
 
 def test_apply_gates_bricks_match_expanded_sequences():
-    # one two-site SVD per brick against one per CNOT: equal up to rounding
+    # one operator-site pair per brick against one per CNOT: equal up to rounding
     rng = np.random.default_rng(49)
     n = 8
     exact = TruncationPolicy(chi_max=2 ** (n // 2))
@@ -838,11 +940,27 @@ def test_apply_gates_bricks_match_expanded_sequences():
     bits = [int(b) for b in rng.integers(2, size=n)]
     m, errs = apply_gates(Mps.product_state(bits), circ, exact)
     ref, _ = apply_gates(Mps.product_state(bits), expand_bricks(circ), exact)
-    assert len(errs) == len(circ.gates)
+    assert len(errs) == sublayer_count(circ) == 6
     assert abs(abs(inner(ref, m)) - 1.0) < 1e-12
     for _ in range(5):
         p = random_pauli(rng, n)
         assert m.expect_pauli(p) == pytest.approx(ref.expect_pauli(p), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [6, 9])
+@pytest.mark.parametrize("chi", [2, 4])
+def test_truncated_brick_wall_sublayer_losses_bound_dense_infidelity(n, chi):
+    rng = np.random.default_rng([50, n, chi])
+    policy = TruncationPolicy(chi_max=chi)
+    m, total = random_mps(rng, n), 0.0
+    for k in range(8):
+        sub = sample_brickwall(n, 1, rng, start_parity=k % 2)
+        vec = apply_circuit(m.to_dense(), sub)
+        m, errs = apply_gates(m, sub, policy)
+        assert len(errs) == 1 and m.max_bond <= chi
+        assert 1.0 - fidelity(m.to_dense(), vec) <= errs[0] + 1e-12, k
+        total += errs[0]
+    assert total > 1e-2, "no sublayer cut anything"
 
 
 @pytest.mark.parametrize("qubits", [(0, 2), (1, 0), (0, 3)])
