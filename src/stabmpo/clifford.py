@@ -386,9 +386,6 @@ class CliffordTableau:
     def __hash__(self) -> int:
         return hash(self.key())
 
-    def is_identity(self) -> bool:
-        return self == CliffordTableau.identity(self.n)
-
     def validate(self) -> None:
         """Check the symplectic pattern and Hermitian +-1 signs of all rows."""
         rows = self.rows

@@ -5,8 +5,8 @@ circuits doped with T gates (entanglement of the layer-evolved state vs a
 gate-by-gate baseline, plus the temporal-entropy sweep) and kicked Floquet
 dynamics with random magnetization-preserving Cliffords (magnetization
 decay against its closed form).  Both run through one driver: each
-config names its blocks, truncation policy, measurement and record
-cadence, and ``_realization`` compiles, evolves and records them.  Every
+config names its blocks, bond cap, measurement and record cadence, and
+``_realization`` compiles, evolves and records them.  Every
 realization draws from an RNG stream keyed by (seed, realization_id), so
 subsets are stable and runs are reproducible byte for byte.
 """
@@ -102,9 +102,6 @@ class TDopedConfig:
     def sample_blocks(self, rng: np.random.Generator):
         return sample_tdoped_blocks(self.n, self.m_layers, self.depth_d, rng)
 
-    def policy(self) -> TruncationPolicy:
-        return TruncationPolicy(chi_max=self.chi)
-
     def measure(self, state: Mps, tableau: CliffordTableau) -> float:
         """The observable on the evolved state, pulled back through ``tableau``."""
         nu = transform_observable(tableau, self.observable_pauli())
@@ -144,9 +141,6 @@ class FloquetConfig:
 
     def sample_blocks(self, rng: np.random.Generator):
         return sample_floquet_blocks(self.n, self.epsilon, self.periods, rng)
-
-    def policy(self) -> TruncationPolicy:
-        return TruncationPolicy(chi_max=self.chi, renormalize=True)
 
     def measure(self, state: Mps, tableau: CliffordTableau) -> float:
         """Magnetization: the mean of <Z_j> pulled back through ``tableau``.
@@ -335,7 +329,7 @@ def _realization(cfg: TDopedConfig | FloquetConfig, realization: int) -> dict:
     """
     rng = realization_rng(cfg.seed, realization)
     blocks = cfg.sample_blocks(rng)
-    policy = cfg.policy()
+    policy = TruncationPolicy(chi_max=cfg.chi)
     bits = [0] * cfg.n
 
     comp = StabMpoCompiler(cfg.n)

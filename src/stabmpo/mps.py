@@ -9,10 +9,10 @@ shared where untouched and treated as immutable by convention.  A
 are left- and sites right of it right-isometric.  Operations keep that and
 use it to touch only the sites between it and their own span.
 
-``log_norm`` is an external scale factor: the represented vector is
-exp(log_norm) times the contracted network.  It stays at zero for unitary
-qubit evolution and absorbs per-step scales in the non-unitary transfer
-contractions.
+One scale rule: every state the library builds is a unit-norm network
+times exp(log_norm).  Each step divides its result by that result's norm
+and adds the log to ``log_norm``, or marks the state zero when the norm is
+below ``ZERO_NORM_THRESHOLD``: 1e-12 of the norm before the step.
 """
 
 from __future__ import annotations
@@ -32,13 +32,10 @@ class TruncationPolicy:
 
     The cap is applied first; afterwards singular values whose relative
     weight s_i^2 / sum_j s_j^2 falls below ``svd_cutoff`` are dropped.
-    With ``renormalize`` the state is rescaled to unit norm and the scale
-    folded into ``log_norm``.
     """
 
     chi_max: int
     svd_cutoff: float = 1e-12
-    renormalize: bool = False
 
     def __post_init__(self) -> None:
         chi = self.chi_max  # 2.5 or True would reach a slice or act as 1
@@ -144,11 +141,16 @@ class Mps:
 
     @classmethod
     def from_site_vectors(cls, vectors) -> "Mps":
-        """Product state with one arbitrary (unnormalized) vector per site."""
-        tensors = [
-            np.asarray(v, dtype=np.complex128).reshape(1, -1, 1) for v in vectors
-        ]
-        return cls(tensors)
+        """Product state of one vector per site, each divided by its norm.
+
+        ``log_norm`` starts at the sum of the norms' logs; a zero vector gives
+        a zero state.
+        """
+        tensors = [np.asarray(v, dtype=np.complex128).reshape(1, -1, 1) for v in vectors]
+        norms = np.sqrt([np.vdot(t, t).real for t in tensors])
+        if not np.all(norms):
+            return cls(tensors, is_zero=True)
+        return cls([t / nrm for t, nrm in zip(tensors, norms)], np.sum(np.log(norms)))
 
     # ------------------------------------------------------------------
     # descriptors
@@ -250,14 +252,19 @@ class Mps:
         or None for an identity site outside the capped span [lo, hi].  The
         merged bonds put the operator bond major.  With a known center, the
         center moves into [lo, hi] and only that window is swept; otherwise
-        the whole chain is.  A scalar (``window_mpo`` with no window) scales
-        the center tensor (site 0 without a center), unrenormalized, and a
-        zero marks the state zero.  Returns the state and discarded weight.
+        the whole chain is.  A scalar s (``window_mpo`` with no window) puts
+        its phase on the center tensor (site 0 without a center) and log|s|
+        into ``log_norm``; an s with |s| below ``ZERO_NORM_THRESHOLD`` is
+        multiplied in whole and marks the state zero.  Returns the state and
+        discarded weight.
         """
         if not isinstance(ops, list):
-            tensors, c = list(self.tensors), self.center or 0
-            tensors[c] = tensors[c] * ops
-            return Mps(tensors, self.log_norm, self.center, self.is_zero or ops == 0), 0.0
+            tensors, c, scale = list(self.tensors), self.center or 0, abs(ops)
+            if scale < ZERO_NORM_THRESHOLD:
+                tensors[c] = tensors[c] * ops
+                return Mps(tensors, self.log_norm, self.center, True), 0.0
+            tensors[c] = tensors[c] * (ops / scale)
+            return Mps(tensors, self.log_norm + np.log(scale), self.center, self.is_zero), 0.0
         if len(ops) != self.n:
             raise ValueError("operator length does not match the state")
         sites = [j for j, op in enumerate(ops) if op is not None]
@@ -298,7 +305,8 @@ class Mps:
         the identity (Q) is the site and T (R) the carry, at no loss.
         Otherwise the top k eigenvectors U_k make the site (Q U_k); the carry
         U_k† T (U_k† R) is the exact projection, so the summed discarded
-        weight returned is the loss of this sweep.
+        weight returned is the loss of this sweep.  The center ``hi`` ends
+        with unit norm, its norm's log added to ``log_norm``.
         """
         envs, units, env = {}, set(), None
         for i in range(hi, lo, -1):
@@ -334,16 +342,11 @@ class Mps:
             nxt = carry if i + 1 in units else _absorb_left(carry, tensors[i + 1])
             tensors[i + 1] = nxt.reshape(k, *tensors[i + 1].shape[1:])
 
-        last = tensors[hi]
-        nrm = float(np.linalg.norm(last))
-        log_norm = self.log_norm
-        is_zero = self.is_zero
+        nrm = float(np.linalg.norm(tensors[hi]))
         if nrm < ZERO_NORM_THRESHOLD:
-            is_zero = True
-        elif policy.renormalize:
-            tensors[hi] = last / nrm
-            log_norm += float(np.log(nrm))
-        return Mps(tensors, log_norm, hi, is_zero), total_err
+            return Mps(tensors, self.log_norm, hi, True), total_err
+        tensors[hi] = tensors[hi] / nrm
+        return Mps(tensors, self.log_norm + np.log(nrm), hi, self.is_zero), total_err
 
     # ------------------------------------------------------------------
     # measurements

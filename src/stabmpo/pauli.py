@@ -62,11 +62,6 @@ def index_to_xz(mu: int) -> tuple[int, int]:
     return _INDEX_TO_XZ[int(mu)]
 
 
-def xz_to_index(x: int, z: int) -> int:
-    """Return the basis index of an (x, z) bit pair."""
-    return _XZ_TO_INDEX[(x, z)]
-
-
 def _popcount(v: int) -> int:
     return v.bit_count()
 
@@ -188,10 +183,6 @@ class PauliString:
         bits = self.x | self.z
         return tuple(j for j in range(self.n) if (bits >> j) & 1)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
     def unsigned(self) -> "PauliString":
         """The same letters with +1 prefix (canonical Hermitian form)."""
         return PauliString(self.n, self.x, self.z, self.y_count)
@@ -215,12 +206,6 @@ class PauliString:
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return self.mul(other)
-
-    def commutes(self, other: "PauliString") -> bool:
-        """True iff the symplectic form of the pair is even."""
-        if self.n != other.n:
-            raise ValueError("length mismatch in commutation check")
-        return (_popcount(self.x & other.z) ^ _popcount(self.z & other.x)) & 1 == 0
 
     # ------------------------------------------------------------------
     # dense oracle

@@ -154,26 +154,46 @@ def _check_folded_sites(rng) -> None:
                         _require(ok, "folded tensor differs from dense")
 
 
+def _three_methods(compiled, obs: PauliString, policy) -> list:
+    """Layer evolution, vertical fold and horizontal sweep from |0...0>."""
+    bits = [0] * compiled.n
+    return [
+        expectation(Mps.product_state(bits), compiled, obs, policy),
+        vertical_fold_evolve(compiled, obs, bits, policy),
+        horizontal_contract(compiled, obs, bits, policy),
+    ]
+
+
 def _check_cross_methods(rng) -> None:
     """Three methods against dense on Z_{n/2} and on C Z_j C^dag for every j.
 
     C is the compiled residual, so C Z_j C^dag pulls back to Z_j: its value
     is nonzero on these states and shows a wrong sign in the Clifford part.
+    At n = 128, beyond the dense oracle, the methods must agree with each
+    other and no state may read as zero (the coefficient train of
+    |0...0><0...0| has norm 2^-64).
     """
     n = 4
     blocks = sample_tdoped_blocks(n, 3, 1, rng)
     compiled = compile_blocks(n, blocks)
     zs = [PauliString.single(n, j, 3) for j in range(n)]
-    bits = [0] * n
     policy = TruncationPolicy(chi_max=64)
     for obs in [zs[n // 2]] + [compiled.residual.conjugate(z, "forward") for z in zs]:
-        ref = dense_oracle_run(n, blocks, bits, obs)
-        got = expectation(Mps.product_state(bits), compiled, obs, policy).value
-        vert = vertical_fold_evolve(compiled, obs, bits, policy).value
-        horiz = horizontal_contract(compiled, obs, bits, policy).value
-        for v in (got, vert, horiz):
-            ok = abs(v - ref) < 1e-8
+        ref = dense_oracle_run(n, blocks, [0] * n, obs)
+        for res in _three_methods(compiled, obs, policy):
+            ok = abs(res.value - ref) < 1e-8
             _require(ok, f"method disagrees with dense on {obs.to_literal()}")
+
+    n = 128
+    big_rng = np.random.default_rng(n)  # leaves rng's stream to the later checks
+    compiled = compile_blocks(n, sample_tdoped_blocks(n, 6, 1, big_rng))
+    policy = TruncationPolicy(chi_max=4**6)  # above every bond of the three
+    for j in (0, n // 2, n - 1):
+        obs = compiled.residual.conjugate(PauliString.single(n, j, 3), "forward")
+        runs = _three_methods(compiled, obs, policy)
+        values = [res.value for res in runs]
+        _require(not any(res.zero_state for res in runs), f"a zero state at n={n}, j={j}")
+        _require(max(values) - min(values) < 1e-10, f"methods disagree at n={n}, j={j}")
 
 
 def _check_mps_exactness(rng) -> None:

@@ -179,7 +179,6 @@ def horizontal_contract(
         raise ValueError("initial state length mismatch")
     nu, sign = _observable_letters(circuit, observable)
 
-    work = TruncationPolicy(policy.chi_max, policy.svd_cutoff, renormalize=True)
     coeffs = (folded_coefficients(l.phi0, l.phi1) for l in circuit.layers)
     chain = Mps.from_site_vectors(coeffs)
     res = Contraction()
@@ -191,7 +190,7 @@ def horizontal_contract(
     for j, bit in enumerate(bits):
         caps = computational_pauli_vector(bit), 2.0 * np.eye(4)[letters[-1, j]]
         column = window_mpo(letters[:-1, j], _FOLDED_COLUMNS, *caps)
-        chain, err = chain.apply_mpo(column, work)
+        chain, err = chain.apply_mpo(column, policy)
         if isinstance(column, list) or chain.is_zero:  # a scalar keeps the spectrum
             entropy = chain.entanglement_entropy(cut)
         if res.record(chain, err, entropy):

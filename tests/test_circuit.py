@@ -130,7 +130,7 @@ def test_compile_single_t():
     compiled = compile_blocks(1, [(None, t_gate(0))])
     assert compiled.m == 1
     assert compiled.layers[0].gamma.to_literal() == "+Z"
-    assert compiled.residual.is_identity()
+    assert compiled.residual == CliffordTableau.identity(1)
 
 
 def test_compile_matches_dense_product():

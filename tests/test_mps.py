@@ -179,7 +179,7 @@ def test_split_two_site_rejects_bad_gates(us):
 def test_2q_gate_renormalize_moves_the_scale_into_log_norm():
     rng = np.random.default_rng(35)
     m = random_mps(rng, 6)
-    policy = TruncationPolicy(chi_max=2, renormalize=True)
+    policy = TruncationPolicy(chi_max=2)
     out, err = m.apply_2q_gate(random_unitary(rng, 4), 2, policy)
     assert err > 1e-3
     assert out.raw_norm() == pytest.approx(1.0, abs=1e-12)
@@ -302,7 +302,7 @@ def test_compress_idempotent():
 def test_compress_renormalize_tracks_log_norm():
     rng = np.random.default_rng(40)
     m = random_mps(rng, 6)
-    out, err = m.compress(TruncationPolicy(chi_max=2, renormalize=True))
+    out, err = m.compress(TruncationPolicy(chi_max=2))
     assert out.raw_norm() == pytest.approx(1.0, abs=1e-10)
     assert out.norm() == pytest.approx(np.sqrt(max(1.0 - err, 0.0)), abs=0.05)
 
@@ -361,10 +361,9 @@ def test_center_invariant_after_every_operation():
     assert max(errs[:5]) < 1e-14 < max(errs[5:]), "truncated layers cut nothing"
     m, _ = apply_layer(m, StabMpoLayer(PauliString.from_letters([0] * n), 0.7), EXACT8)
     assert_canonical(m)
-    for policy in (TruncationPolicy(chi_max=2), TruncationPolicy(2, renormalize=True)):
-        out, _ = m.compress(policy)
-        assert_canonical(out)
-        assert out.center == n - 1
+    out, _ = m.compress(TruncationPolicy(chi_max=2))
+    assert_canonical(out)
+    assert out.center == n - 1
 
 
 @pytest.mark.parametrize("where", ["front", "inside", "behind"])
@@ -534,6 +533,40 @@ def test_sweep_matches_dense_at_every_window_and_center(kind):
                     assert err >= 1.0 - fidelity(out.to_dense(14), want) - 1e-12
 
 
+def test_from_site_vectors_moves_the_scale_into_log_norm():
+    rng = np.random.default_rng(95)
+    vectors = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in (2, 4, 3, 4)]
+    m = Mps.from_site_vectors(vectors)
+    want = np.ones(1)
+    for v in vectors:
+        want = np.kron(want, v)
+    assert np.linalg.norm(m.to_dense() - want) <= 1e-14 * np.linalg.norm(want)
+    assert m.raw_norm() == pytest.approx(1.0, abs=1e-14)
+    assert not m.is_zero
+    vectors[2] = np.zeros(3)
+    assert Mps.from_site_vectors(vectors).is_zero
+
+
+def test_tiny_state_survives_a_window_and_scalar_steps():
+    # 40 sites of norm 0.25: norm 2**-80, far below the zero threshold, which
+    # applies to the unit-norm network and so is relative to the state's norm
+    rng = np.random.default_rng(96)
+    vectors = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+    state = Mps.from_site_vectors(0.25 * v / np.linalg.norm(v) for v in vectors)
+    out, err = state.apply_mpo(window_operator(rng, "layer", 40, 10, 14), EXACT8)
+    assert not out.is_zero and err < 1e-14
+    assert out.raw_norm() == pytest.approx(1.0, abs=1e-12)
+    assert out.norm() == pytest.approx(2.0**-80, rel=1e-12)
+    scaled, err = out.apply_mpo(0.5j, EXACT8)
+    assert err == 0.0 and not scaled.is_zero
+    assert scaled.raw_norm() == pytest.approx(1.0, abs=1e-12)
+    assert scaled.select_components([0] * 40) == pytest.approx(
+        0.5j * out.select_components([0] * 40), rel=1e-12
+    )
+    gone, _ = out.apply_mpo(1e-13, EXACT8)
+    assert gone.is_zero and gone.norm() < 1e-12 * out.norm()  # flagged, not rescaled
+
+
 def test_sweep_zero_and_renormalized_states():
     rng = np.random.default_rng(94)
     n = 7
@@ -548,7 +581,7 @@ def test_sweep_zero_and_renormalized_states():
     want = dense_apply(ops, state)
     norm2 = np.vdot(want, want).real
     for chi in (2**n, 2):
-        out, err = state.apply_mpo(ops, TruncationPolicy(chi, renormalize=True))
+        out, err = state.apply_mpo(ops, TruncationPolicy(chi))
         got = out.to_dense()
         assert out.raw_norm() == pytest.approx(1.0, abs=1e-12)
         assert norm2 * (1.0 - err - 1e-12) <= out.norm() ** 2 <= norm2 * (1.0 + 1e-12)
@@ -778,8 +811,8 @@ def test_gram_spectrum_matches_svd_at_every_center_and_cut():
     exact = random_mps(rng, n)
     lossy, err = exact.compress(TruncationPolicy(chi_max=3))
     assert err > 1e-6 and lossy.norm() < 1.0 - 1e-6, "state was not truncated"
-    scaled, _ = exact.compress(TruncationPolicy(chi_max=3, renormalize=True))
-    assert scaled.log_norm != 0.0
+    assert lossy.log_norm != 0.0 and lossy.raw_norm() == pytest.approx(1.0, abs=1e-12)
+    scaled = Mps([2.0 * t for t in lossy.tensors], lossy.log_norm)  # a network of norm 2**n
     for state in (exact, lossy, scaled):
         vec = state.to_dense()
         for center in (*range(n), None):

@@ -291,7 +291,7 @@ def test_zeroed_chain_bonds_do_not_count_towards_max_bond():
     # reached, so the record leaves max_bond at the last nonzero chain's
     rng = np.random.default_rng(78)
     m = 6
-    work = TruncationPolicy(chi_max=4**m, renormalize=True)
+    work = TruncationPolicy(chi_max=4**m)
     chain = Mps.from_site_vectors(rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4)))
     res = Contraction()
     for scale in (1.0, 1.0, 1e-15):
@@ -360,6 +360,26 @@ def test_single_qubit_three_ways_match_dense(bit):
         assert vert.value == pytest.approx(ref, abs=1e-12)
         horiz = horizontal_contract(compiled, obs, [bit], EXACT)
         assert horiz.value == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [80, 128])
+def test_three_methods_agree_where_the_coefficient_train_is_tiny(n):
+    # the Pauli-coefficient train of |0...0><0...0| has norm 2**(-n/2), below
+    # the zero threshold from n = 80 on: the fold must not read it as zero.
+    # C Z_j C^dag pulls back to Z_j, whose value is nonzero on these states.
+    bits = [0] * n
+    for seed in range(3):
+        circ = compile_blocks(n, sample_tdoped_blocks(n, 6, 1, realization_rng(seed, 0)))
+        for j in (0, n // 2, n - 1):
+            obs = circ.residual.conjugate(PauliString.single(n, j, 3), "forward")
+            runs = [
+                expectation(Mps.product_state(bits), circ, obs, EXACT),
+                vertical_fold_evolve(circ, obs, bits, EXACT),
+                horizontal_contract(circ, obs, bits, EXACT),
+            ]
+            values = [r.value for r in runs]
+            assert not any(r.zero_state for r in runs), (seed, j)
+            assert max(values) - min(values) <= 1e-12, (seed, j, values)
 
 
 def test_horizontal_rejects_length_mismatch():
@@ -432,7 +452,6 @@ def vertical_reference(circ, obs, bits, policy):
 
 def horizontal_reference(circ, obs, bits, policy):
     nu = transform_observable(circ.residual, obs)
-    work = TruncationPolicy(policy.chi_max, policy.svd_cutoff, renormalize=True)
     chain = Mps.from_site_vectors(
         folded_coefficients(layer.phi0, layer.phi1) for layer in circ.layers
     )
@@ -442,7 +461,7 @@ def horizontal_reference(circ, obs, bits, policy):
         top = 2.0 * np.eye(4)[nu.letter(j)]
         bottom = computational_pauli_vector(bits[j])
         chain, _ = chain.apply_mpo(
-            full_length(letters, _FOLDED_COLUMNS, bottom, top), work
+            full_length(letters, _FOLDED_COLUMNS, bottom, top), policy
         )
         entropies.append(chain.entanglement_entropy(ceil(circ.m / 2)))
         if chain.is_zero:
