@@ -4,10 +4,11 @@ Site tensors are order-3 arrays (left bond, physical, right bond) with
 boundary bonds of size 1.  The physical dimension defaults to 2 but is
 per-site, since the folded transfer-network reuses the same machinery
 with four-dimensional sites.  Operations return new objects; tensors are
-shared where untouched and treated as immutable by convention.  A
-``center`` that is not None is the orthogonality center: sites left of it
-are left- and sites right of it right-isometric.  Operations keep that and
-use it to touch only the sites between it and their own span.
+shared where untouched and treated as immutable by convention.  Every
+state has an orthogonality center ``center``: sites left of it are left-
+and sites right of it right-isometric.  Operations keep that and use it to
+touch only the sites between it and their own span; a network given
+without a center is brought to right-canonical form, center 0, once.
 
 One scale rule: every state the library builds is a unit-norm network
 times exp(log_norm).  Each step divides its result by that result's norm
@@ -93,6 +94,14 @@ def _keeps_every_weight(rho: np.ndarray, policy: TruncationPolicy) -> bool:
     return True
 
 
+def _index(value, lo: int, hi: int, what: str) -> int:
+    """``value`` as an int in [lo, hi]; a bool, a non-integer or any other raises."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (ok and lo <= value <= hi):  # 1.5 would reach a range, True act as 1
+        raise ValueError(f"{what} {value!r} out of range [{lo}, {hi}]")
+    return int(value)
+
+
 def basis_bits(bits) -> list[int]:
     """Computational-basis labels as ints; each raw value must equal 0 or 1."""
     bits = list(bits)
@@ -116,15 +125,17 @@ class Mps:
             raise ValueError("empty tensor list")
         self.tensors = list(tensors)
         self.log_norm = float(log_norm)
-        self.center = center
         self.is_zero = bool(is_zero)
-        if center is not None and not 0 <= center < len(self.tensors):
-            raise ValueError(f"center {center} out of range")
         if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[2] != 1:
             raise ValueError("boundary bonds must have dimension 1")
         for a, b in zip(self.tensors, self.tensors[1:]):
             if a.shape[2] != b.shape[0]:
                 raise ValueError("mismatched bond dimensions")
+        if center is None:  # an unknown gauge: one QR sweep from the right
+            for i in range(self.n - 1, 0, -1):
+                self._orth_right(self.tensors, i)
+            center = 0
+        self.center = _index(center, 0, self.n - 1, "center")
 
     # ------------------------------------------------------------------
     # construction
@@ -132,25 +143,21 @@ class Mps:
     @classmethod
     def product_state(cls, bits) -> "Mps":
         """Computational basis product state |b_0 b_1 ...>."""
-        tensors = []
-        for b in basis_bits(bits):
-            t = np.zeros((1, 2, 1), dtype=np.complex128)
-            t[0, b, 0] = 1.0
-            tensors.append(t)
-        return cls(tensors, center=0)
+        return cls.from_site_vectors(np.eye(2)[basis_bits(bits)])
 
     @classmethod
     def from_site_vectors(cls, vectors) -> "Mps":
         """Product state of one vector per site, each divided by its norm.
 
-        ``log_norm`` starts at the sum of the norms' logs; a zero vector gives
-        a zero state.
+        Unit sites are canonical at every site, so the center is 0 with no
+        QR.  ``log_norm`` starts at the sum of the norms' logs; a zero vector
+        gives a zero state, canonicalized like any network without a center.
         """
         tensors = [np.asarray(v, dtype=np.complex128).reshape(1, -1, 1) for v in vectors]
         norms = np.sqrt([np.vdot(t, t).real for t in tensors])
         if not np.all(norms):
             return cls(tensors, is_zero=True)
-        return cls([t / nrm for t, nrm in zip(tensors, norms)], np.sum(np.log(norms)))
+        return cls([t / nrm for t, nrm in zip(tensors, norms)], np.sum(np.log(norms)), 0)
 
     # ------------------------------------------------------------------
     # descriptors
@@ -199,27 +206,19 @@ class Mps:
 
     def move_center(self, target: int) -> "Mps":
         """Return a copy with the orthogonality center at ``target``."""
-        if not 0 <= target < self.n:
-            raise ValueError("center out of range")
+        target = _index(target, 0, self.n - 1, "center")
         tensors = list(self.tensors)
-        if self.center is None:
-            for i in range(target):
-                self._orth_left(tensors, i)
-            for i in range(self.n - 1, target, -1):
-                self._orth_right(tensors, i)
-        else:
-            for i in range(self.center, target):
-                self._orth_left(tensors, i)
-            for i in range(self.center, target, -1):
-                self._orth_right(tensors, i)
+        for i in range(self.center, target):
+            self._orth_left(tensors, i)
+        for i in range(self.center, target, -1):
+            self._orth_right(tensors, i)
         return Mps(tensors, self.log_norm, target, self.is_zero)
 
     # ------------------------------------------------------------------
     # local operations
     # ------------------------------------------------------------------
     def apply_1q_gate(self, u: np.ndarray, site: int) -> "Mps":
-        if not 0 <= site < self.n:
-            raise ValueError("gate site out of range")
+        site = _index(site, 0, self.n - 1, "gate site")
         u = np.asarray(u, dtype=np.complex128)
         if u.shape != (2, 2):
             raise ValueError("1q gate must be 2x2")
@@ -237,8 +236,7 @@ class Mps:
 
         Returns the new state and the discarded relative weight.
         """
-        if not 0 <= site < self.n - 1:
-            raise ValueError("gate site out of range")
+        site = _index(site, 0, self.n - 2, "gate site")
         ops = [None] * self.n
         ops[site : site + 2] = split_two_site([u])[0]
         return self.apply_mpo(ops, policy)
@@ -250,16 +248,15 @@ class Mps:
 
         ``ops[j]`` is the (left bond, out, in, right bond) tensor of site j,
         or None for an identity site outside the capped span [lo, hi].  The
-        merged bonds put the operator bond major.  With a known center, the
-        center moves into [lo, hi] and only that window is swept; otherwise
-        the whole chain is.  A scalar s (``window_mpo`` with no window) puts
-        its phase on the center tensor (site 0 without a center) and log|s|
-        into ``log_norm``; an s with |s| below ``ZERO_NORM_THRESHOLD`` is
+        merged bonds put the operator bond major.  The center moves into
+        [lo, hi] and only that window is swept.  A scalar s (``window_mpo``
+        with no window) puts its phase on the center tensor and log|s| into
+        ``log_norm``; an s with |s| below ``ZERO_NORM_THRESHOLD`` is
         multiplied in whole and marks the state zero.  Returns the state and
         discarded weight.
         """
         if not isinstance(ops, list):
-            tensors, c, scale = list(self.tensors), self.center or 0, abs(ops)
+            tensors, c, scale = list(self.tensors), self.center, abs(ops)
             if scale < ZERO_NORM_THRESHOLD:
                 tensors[c] = tensors[c] * ops
                 return Mps(tensors, self.log_norm, self.center, True), 0.0
@@ -270,11 +267,8 @@ class Mps:
         sites = [j for j, op in enumerate(ops) if op is not None]
         if not sites:
             raise ValueError("operator has no sites")
-        work, lo, hi = self, 0, self.n - 1
-        if self.center is not None:
-            lo, hi = sites[0], sites[-1]
-            work = self.move_center(min(max(self.center, lo), hi))
-        tensors = list(work.tensors)
+        lo, hi = sites[0], sites[-1]
+        tensors = list(self.move_center(min(max(self.center, lo), hi)).tensors)
         for j in sites:  # (wl, o, wr | i) . (i | bl, br), then (wl bl, o, wr br)
             (wl, o, i, wr), (bl, _, br) = ops[j].shape, tensors[j].shape
             op = ops[j].transpose(0, 1, 3, 2).reshape(-1, i)
@@ -366,16 +360,14 @@ class Mps:
         of the Gram environment of the center and the isometric sites up to
         the cut (no copy, QR or SVD), to an absolute error of about 1e-16.
         """
-        if not 0 <= cut <= self.n:
-            raise ValueError(f"cut {cut} outside [0, {self.n}]")
+        cut = _index(cut, 0, self.n, "cut")
         if cut in (0, self.n) or self.is_zero:
             return None
-        work = self if self.center is not None else self.move_center(cut - 1)
-        c = work.center
+        c = self.center
         if c >= cut:  # the center, then left-isometric sites down to the cut
-            sites = work.tensors[c : cut - 1 : -1]
+            sites = self.tensors[c : cut - 1 : -1]
         else:  # mirrored: the same step then carries conj(E), same spectrum
-            sites = [t.transpose(2, 1, 0) for t in work.tensors[c:cut]]
+            sites = [t.transpose(2, 1, 0) for t in self.tensors[c:cut]]
         _, env = _gram_walk(sites)
         p = np.clip(np.linalg.eigvalsh(env)[::-1], 0.0, None)
         total = float(np.sum(p))
@@ -387,15 +379,12 @@ class Mps:
         """<psi|P|psi> / <psi|psi>, real for a Hermitian string.
 
         Only the sites from the center to ``p``'s support count, and the
-        norm is the center tensor's.  A state without a center first moves
-        it to site 0.
+        norm is the center tensor's.
         """
         if p.n != self.n:
             raise ValueError("length mismatch")
         if self.is_zero:
             return 0.0
-        if self.center is None:
-            return self.move_center(0).expect_pauli(p)
         span = (self.center, *p.support)
         lo, hi = min(span), max(span)
         env = np.eye(self.tensors[lo].shape[0], dtype=np.complex128)
@@ -417,15 +406,12 @@ class Mps:
 
         One pass from the center to each end carries the Gram environment of
         the sites in between (as ``schmidt_spectrum``), so each site costs
-        one step instead of ``expect_pauli``'s walk from the center.  A state
-        without a center first moves it to site 0.
+        one step instead of ``expect_pauli``'s walk from the center.
         """
         if len(letters) != self.n:
             raise ValueError("length mismatch")
         if self.is_zero:
             return np.zeros(self.n)
-        if self.center is None:
-            return self.move_center(0).expect_local(letters)
         c = self.center
         left = _local_values(self.tensors[c::-1], letters[c::-1])
         mirrored = [t.transpose(2, 1, 0) for t in self.tensors[c:]]

@@ -73,6 +73,13 @@ def random_mps(rng, n: int, layers: int = 3) -> Mps:
     return state
 
 
+def fidelity(vec_a: np.ndarray, vec_b: np.ndarray) -> float:
+    """|<a|b>|^2 / (<a|a> <b|b>)."""
+    return abs(np.vdot(vec_a, vec_b)) ** 2 / (
+        np.vdot(vec_a, vec_a).real * np.vdot(vec_b, vec_b).real
+    )
+
+
 def dense_entropy_bits(vec: np.ndarray, cut: int, n: int) -> float:
     """Half-cut entropy of a dense vector, in bits."""
     mat = vec.reshape(2**cut, 2 ** (n - cut))

@@ -8,12 +8,20 @@ import pytest
 from conftest import (
     dense_entropy_bits,
     expand_bricks,
+    fidelity,
     random_mps,
     random_pauli,
     random_state_vector,
     random_unitary,
 )
-from stabmpo.circuit import RotationGate, StabMpoLayer, apply_layer, compile_blocks
+from stabmpo.circuit import (
+    _LAYER_SITES,
+    RotationGate,
+    StabMpoLayer,
+    apply_layer,
+    compile_blocks,
+    letter_table,
+)
 from stabmpo.clifford import CliffordCircuit, Gate, sample_brickwall
 from stabmpo.dense import (
     GATE_1Q,
@@ -32,17 +40,12 @@ from stabmpo.mps import (
     diagonal_mpo,
     inner,
     split_two_site,
+    window_mpo,
 )
 from stabmpo.pauli import SIGMA, PauliString
 from stabmpo.temporal import FOLDED_BLOCKS, computational_pauli_vector, folded_coefficients
 
 EXACT8 = TruncationPolicy(chi_max=2**8)
-
-
-def fidelity(vec_a: np.ndarray, vec_b: np.ndarray) -> float:
-    return abs(np.vdot(vec_a, vec_b)) ** 2 / (
-        np.vdot(vec_a, vec_a).real * np.vdot(vec_b, vec_b).real
-    )
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +343,77 @@ def test_init_rejects_center_out_of_range():
     assert Mps(tensors, center=2).center == 2
 
 
+def network_dense(tensors) -> np.ndarray:
+    """Dense vector of a raw tensor list, contracted left to right."""
+    v = np.ones((1, 1), dtype=np.complex128)
+    for t in tensors:
+        v = np.tensordot(v, t, axes=(1, 0)).reshape(-1, t.shape[2])
+    return v[:, 0]
+
+
+def test_network_without_center_is_canonicalized_to_center_0():
+    # oversized and undersized inner bonds alike; the gauge changes, the state not
+    rng = np.random.default_rng(66)
+    for d in (2, 4):
+        for n in (1, 2, 5, 7):
+            bonds = [1] + [int(b) for b in rng.integers(1, 7, size=n - 1)] + [1]
+            shapes = [(bl, d, br) for bl, br in zip(bonds, bonds[1:])]
+            tensors = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+            m = Mps(tensors, log_norm=0.3)
+            assert m.center == 0
+            assert_canonical(m)
+            want = network_dense(tensors)
+            ref = np.linalg.norm(want)
+            assert np.linalg.norm(m.to_dense(14) - np.exp(0.3) * want) <= 1e-12 * ref
+            assert abs(m.raw_norm() - ref) <= 1e-12 * ref
+
+
+def test_product_states_are_canonical_at_center_0():
+    rng = np.random.default_rng(67)
+    vectors = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in (2, 4, 3, 4)]
+    for zero_at in (None, 0, 2, 3):
+        vecs = list(vectors)
+        if zero_at is not None:
+            vecs[zero_at] = np.zeros(len(vecs[zero_at]))
+        m = Mps.from_site_vectors(vecs)
+        assert m.center == 0 and m.is_zero == (zero_at is not None)
+        assert_canonical(m)
+        if m.is_zero:
+            assert not np.any(m.to_dense())
+    bits = [0, 1, 1, 0, 1]
+    m = Mps.product_state(bits)
+    assert m.center == 0 and m.log_norm == 0.0
+    assert_canonical(m)
+    for t, b in zip(m.tensors, bits):
+        assert t.dtype == np.complex128
+        assert np.array_equal(t, np.eye(2)[b].reshape(1, 2, 1))
+
+
+PAST_END = object()  # one past the entry point's last valid index
+INDEX_ENTRIES = {  # name: (call with index i, last valid index on 3 sites)
+    "center": (lambda m, i: Mps(m.tensors, center=i), 2),
+    "move_center": (lambda m, i: m.move_center(i), 2),
+    "apply_1q_gate": (lambda m, i: m.apply_1q_gate(np.eye(2), i), 2),
+    "apply_2q_gate": (lambda m, i: m.apply_2q_gate(np.eye(4), i, EXACT8), 1),
+    "entanglement_entropy": (lambda m, i: m.entanglement_entropy(i), 3),
+}
+
+
+@pytest.mark.parametrize("entry", INDEX_ENTRIES)
+@pytest.mark.parametrize(
+    "value", [1.5, True, -1, pytest.param(PAST_END, id="past-end"), "1"]
+)
+def test_every_index_is_an_int_in_range(entry, value):
+    # centers, gate sites and cuts share one rule: a bool, a non-integer or an
+    # out-of-range value raises ValueError; np.integer is an int
+    call, last = INDEX_ENTRIES[entry]
+    m = Mps.product_state([0, 1, 0])
+    with pytest.raises(ValueError, match="out of range"):
+        call(m, last + 1 if value is PAST_END else value)
+    call(m, np.int64(last))
+    assert Mps(m.tensors, center=np.int64(1)).center == 1
+
+
 def test_center_invariant_after_every_operation():
     rng = np.random.default_rng(60)
     n = 8
@@ -382,7 +456,11 @@ def test_window_layer_matches_full_chain_and_dense(where):
             state = random_mps(rng, n).move_center(center)
             layer = narrow_layer(rng, n, lo, hi)
             window, err = apply_layer(state, layer, policy)
-            full, err_full = apply_layer(Mps(state.tensors), layer, policy)
+            # the same operator padded with identity sites: its window is the chain
+            letters = letter_table([layer.gamma], n)[0]
+            ops = window_mpo(letters, _LAYER_SITES, [layer.phi0, layer.phi1], np.ones(2))
+            eye = np.eye(2)[None, :, :, None]
+            full, err_full = state.apply_mpo([eye if op is None else op for op in ops], policy)
             want = layer.to_dense() @ state.to_dense()
             assert (window.center, full.center) == (hi, n - 1)
             assert err == err_full == 0.0
@@ -497,7 +575,7 @@ def dense_ranks(vec: np.ndarray, d: int, n: int) -> list[int]:
 
 @pytest.mark.parametrize("kind", ["layer", "row", "column"])
 def test_sweep_matches_dense_at_every_window_and_center(kind):
-    # every window [lo, hi] from every center (None sweeps the whole chain):
+    # every window [lo, hi] from every center:
     # absorbed tails (unit sites), Gram-environment regions, unit sites inside
     # them and tall splits all occur
     rng = np.random.default_rng({"layer": 91, "row": 92, "column": 93}[kind])
@@ -515,9 +593,9 @@ def test_sweep_matches_dense_at_every_window_and_center(kind):
             scale = np.linalg.norm(want)
             ranks = dense_ranks(want, d, n)
             op_bonds = [1] + [1 if op is None else op.shape[0] for op in ops[1:]] + [1]
-            for center in (None, *range(n)):
-                state = base if center is None else base.move_center(center)
-                swept = range(1, n) if center is None else range(lo + 1, hi + 1)
+            swept = range(lo + 1, hi + 1)
+            for center in range(n):
+                state = base.move_center(center)
                 merged = [a * b for a, b in zip(state.bond_dims, op_bonds)]
                 out, err = state.apply_mpo(ops, exact)
                 assert err < 1e-12
