@@ -18,12 +18,13 @@ samplers used by the experiment drivers: brick-wall layers of uniformly
 random two-qubit Cliffords and random U(1)-symmetric Cliffords in CZ /
 phase-power / permutation form.  A sampled two-qubit Clifford stays one
 element, a ``Brick`` that carries its index in an exhaustive enumeration of
-all 11520 elements, which stores each element's packed images and its
-inverse's index.
+all 11520 elements, read from a generated table that stores each element's
+packed images, its gate sequence and its inverse's index.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -167,17 +168,6 @@ def _header_count(line: str) -> int:
 # ----------------------------------------------------------------------
 # conjugation rules on packed (x, z, phase) triples
 # ----------------------------------------------------------------------
-def _mul6(u, v):
-    """Product u v of two-qubit strings packed in 6 bits (ints or int arrays).
-
-    Bits 0-1 hold the x bits of qubits 0 and 1, bits 2-3 the z bits and
-    bits 4-5 the phase exponent of i, the layout of a packed row.
-    """
-    w = (u >> 2) & v & 3  # Z of u met by X of v
-    phase = (u >> 4) + (v >> 4) + 2 * ((w & 1) + (w >> 1))
-    return (u ^ v) & 15 | (phase & 3) << 4
-
-
 def _image_bits(rows: Sequence[Row], n: int, x: int, z: int, phase: int) -> Row:
     """Image of the packed string under the tableau whose packed rows are given.
 
@@ -435,61 +425,36 @@ class _Enumeration(NamedTuple):
     inverse: tuple[int, ...]  # index of each element's inverse
 
 
-def _inverse_states(states: np.ndarray) -> np.ndarray:
-    """Packed states of the inverses of all two-qubit elements at once.
-
-    The bits are the symplectic inverse, as in ``_symplectic_inverse``: the
-    inverse image of X_q has x bit j where the image of Z_j has z bit q, and
-    z bit j where the image of X_j has z bit q; for Z_q read the x bits.
-    Its phase makes the forward image +X_q or +Z_q.
-    """
-    img = [(states >> 6 * k) & 63 for k in range(4)]
-    out = np.zeros_like(states)
-    for k in range(4):
-        shift = (2 if k < 2 else 0) + (k & 1)
-        bit = [(im >> shift) & 1 for im in img]
-        x, z = bit[2] | bit[3] << 1, bit[0] | bit[1] << 1
-        phase = (x & z & 1) + (x & z) // 2
-        fwd = phase << 4
-        for j, on in enumerate((x & 1, x >> 1, z & 1, z >> 1)):
-            fwd = np.where(on == 1, _mul6(fwd, img[j]), fwd)
-        out |= (x | z << 2 | ((phase + (fwd >> 4)) & 3) << 4) << 6 * k
-    return out
+# the enumeration's generators, numbered as in its table's ``generator`` field
+_GENERATORS = (
+    *(Gate(name, (q,)) for name in ("H", "S") for q in (0, 1)),
+    Gate("CNOT", (0, 1)),
+)
+_TABLE_PATH = os.path.join(os.path.dirname(__file__), "two_qubit_cliffords.npy")
 
 
 @lru_cache(maxsize=1)
 def _enumeration() -> _Enumeration:
     """All 11520 two-qubit Cliffords, their packed images and inverses.
 
-    Built once by breadth-first closure over {H, S, CNOT} generators and
-    deduplicated by the packed images (i.e. up to global phase).  A state
-    is one int: the four 6-bit images, each packed as in ``_mul6``, so one
-    64-entry table per generator maps a state to the next.  The BFS order
-    is deterministic, so index i always denotes the same element.
+    Read once from the generated table next to this module: one record per
+    element, in the order of a breadth-first closure over the {H, S, CNOT}
+    generators from the identity, deduplicated by the packed images (i.e.
+    up to global phase).  ``state`` is the four 6-bit images of X0, X1, Z0,
+    Z1, each with the x bits in bits 0-1, the z bits in bits 2-3 and the
+    phase exponent of i in bits 4-5; element ``parent`` followed by
+    generator ``generator`` is the element's gate sequence; ``inverse`` is
+    the index of its inverse.  The order is pinned, so index i always denotes the
+    same element.  ``tests/test_clifford.py`` holds the search, checks the
+    table against it and regenerates the file.
     """
-    one_qubit = (Gate(name, (q,)) for name in ("H", "S") for q in (0, 1))
-    generators = (*one_qubit, Gate("CNOT", (0, 1)))
-    tables = []
-    for g in generators:
-        rows = (_conjugate_bits(u & 3, u >> 2 & 3, u >> 4, g) for u in range(64))
-        tables.append((g, [x | z << 2 | (ph & 3) << 4 for x, z, ph in rows]))
-    start = 1 | 2 << 6 | 4 << 12 | 8 << 18
-    index = {start: 0}
-    states = [start]
+    table = np.load(_TABLE_PATH, allow_pickle=False)
+    if len(table) != TWO_QUBIT_CLIFFORD_COUNT:
+        raise AssertionError(f"two-qubit Clifford table holds {len(table)} elements")
     sequences: list[tuple[Gate, ...]] = [()]
-    for state, seq in zip(states, sequences):  # both grow while iterated
-        x0, x1, z0, z1 = state & 63, state >> 6 & 63, state >> 12 & 63, state >> 18
-        for g, t in tables:
-            nxt = t[x0] | t[x1] << 6 | t[z0] << 12 | t[z1] << 18
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-                sequences.append(seq + (g,))
-    if len(states) != TWO_QUBIT_CLIFFORD_COUNT:
-        raise AssertionError(
-            f"two-qubit Clifford enumeration found {len(states)} elements"
-        )
-    inverse = [index[s] for s in _inverse_states(np.array(states, dtype=np.int64)).tolist()]
+    for parent, g in zip(table["parent"][1:].tolist(), table["generator"][1:].tolist()):
+        sequences.append(sequences[parent] + (_GENERATORS[g],))
+    states, inverse = table["state"].tolist(), table["inverse"].tolist()
     return _Enumeration(tuple(sequences), tuple(states), tuple(inverse))
 
 

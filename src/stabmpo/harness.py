@@ -14,7 +14,6 @@ subsets are stable and runs are reproducible byte for byte.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from math import cos, pi, sqrt
 from pathlib import Path
@@ -370,6 +369,9 @@ def _run_realizations(cfg) -> list[dict]:
     if workers == 1:
         results = [_realization(cfg, r) for r in range(count)]
     else:
+        # imported only here, so a serial run never loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_realization, [cfg] * count, range(count)))
     return sorted(results, key=lambda d: d["realization"])

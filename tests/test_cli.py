@@ -73,6 +73,22 @@ def test_import_pins_blas_threads_unless_set(preset, expected):
     assert proc.stdout.strip() == expected
 
 
+def test_import_loads_no_process_pool():
+    # the pool is imported only when STABMPO_WORKERS > 1 starts one
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import stabmpo\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "stabmpo" in added
+    for name in ("concurrent.futures", "multiprocessing"):
+        assert name not in added
+
+
 def test_floquet_deterministic_csv(tmp_path):
     args = [
         "floquet", "--n", "4", "--epsilon", "0.1", "--periods", "3",

@@ -1,7 +1,16 @@
-"""Tableau conjugation, samplers and the two-qubit group enumeration."""
+"""Tableau conjugation, samplers and the two-qubit group enumeration.
+
+The enumeration's table, ``src/stabmpo/two_qubit_cliffords.npy``, is checked
+against the breadth-first search below that generates it.  Regenerate it
+(only when the enumeration is meant to change, which changes every seeded
+circuit) with
+
+    PYTHONPATH=src python tests/test_clifford.py
+"""
 
 import hashlib
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -10,10 +19,13 @@ from conftest import expand_bricks, random_clifford_circuit, random_pauli
 from stabmpo.clifford import (
     GATE_ARITY,
     TWO_QUBIT_CLIFFORD_COUNT,
+    _TABLE_PATH,
     Brick,
     CliffordCircuit,
     CliffordTableau,
     Gate,
+    _conjugate_bits,
+    _enumeration,
     append_to_inverse,
     gate,
     sample_brickwall,
@@ -235,6 +247,91 @@ def test_two_qubit_enumeration_order_is_pinned():
     assert digest == "2ec4a8609b1ca00706479a9ecc389b2a2605b49e5a40ff997787ede6213281b0"
 
 
+def _mul6(u, v):
+    """Product u v of two-qubit strings packed in 6 bits (ints or int arrays).
+
+    Bits 0-1 hold the x bits of qubits 0 and 1, bits 2-3 the z bits and
+    bits 4-5 the phase exponent of i, the layout of a packed row.
+    """
+    w = (u >> 2) & v & 3  # Z of u met by X of v
+    phase = (u >> 4) + (v >> 4) + 2 * ((w & 1) + (w >> 1))
+    return (u ^ v) & 15 | (phase & 3) << 4
+
+
+def _inverse_states(states: np.ndarray) -> np.ndarray:
+    """Packed states of the inverses of all two-qubit elements at once.
+
+    The bits are the symplectic inverse, as in ``clifford._symplectic_inverse``:
+    the inverse image of X_q has x bit j where the image of Z_j has z bit q,
+    and z bit j where the image of X_j has z bit q; for Z_q read the x bits.
+    Its phase makes the forward image +X_q or +Z_q.
+    """
+    img = [(states >> 6 * k) & 63 for k in range(4)]
+    out = np.zeros_like(states)
+    for k in range(4):
+        shift = (2 if k < 2 else 0) + (k & 1)
+        bit = [(im >> shift) & 1 for im in img]
+        x, z = bit[2] | bit[3] << 1, bit[0] | bit[1] << 1
+        phase = (x & z & 1) + (x & z) // 2
+        fwd = phase << 4
+        for j, on in enumerate((x & 1, x >> 1, z & 1, z >> 1)):
+            fwd = np.where(on == 1, _mul6(fwd, img[j]), fwd)
+        out |= (x | z << 2 | ((phase + (fwd >> 4)) & 3) << 4) << 6 * k
+    return out
+
+
+# one record of the enumeration's table
+TABLE_DTYPE = np.dtype(
+    [("state", "<u4"), ("parent", "<u2"), ("generator", "u1"), ("inverse", "<u2")]
+)
+
+
+def breadth_first_enumeration():
+    """The enumeration's table and gate sequences, by breadth-first search.
+
+    Closure over the {H, S, CNOT} generators from the identity, deduplicated
+    by the packed images (i.e. up to global phase).  A state is one int: the
+    four 6-bit images of X0, X1, Z0, Z1, each packed as in ``_mul6``, so one
+    64-entry table per generator maps a state to the next.  Each record
+    holds the state, the element and generator that first reached it, and
+    the index of its inverse.
+    """
+    one_qubit = (Gate(name, (q,)) for name in ("H", "S") for q in (0, 1))
+    generators = (*one_qubit, Gate("CNOT", (0, 1)))
+    tables = []
+    for g in generators:
+        rows = (_conjugate_bits(u & 3, u >> 2 & 3, u >> 4, g) for u in range(64))
+        tables.append([x | z << 2 | (ph & 3) << 4 for x, z, ph in rows])
+    start = 1 | 2 << 6 | 4 << 12 | 8 << 18
+    index = {start: 0}
+    records = [(start, 0, 0)]
+    sequences = [()]
+    for parent, ((state, _, _), seq) in enumerate(zip(records, sequences)):
+        x0, x1, z0, z1 = state & 63, state >> 6 & 63, state >> 12 & 63, state >> 18
+        for k, (g, t) in enumerate(zip(generators, tables)):
+            nxt = t[x0] | t[x1] << 6 | t[z0] << 12 | t[z1] << 18
+            if nxt not in index:
+                index[nxt] = len(records)
+                records.append((nxt, parent, k))
+                sequences.append(seq + (g,))
+    states = np.array([r[0] for r in records], dtype=np.int64)
+    inverse = [index[s] for s in _inverse_states(states).tolist()]
+    table = np.array([(*r, inv) for r, inv in zip(records, inverse)], dtype=TABLE_DTYPE)
+    return table, tuple(sequences)
+
+
+def test_enumeration_table_matches_breadth_first_search():
+    table, sequences = breadth_first_enumeration()
+    assert len(table) == TWO_QUBIT_CLIFFORD_COUNT
+    stored = np.load(_TABLE_PATH, allow_pickle=False)
+    assert stored.dtype == TABLE_DTYPE
+    assert stored.tobytes() == table.tobytes()
+    enum = _enumeration()
+    assert enum.states == tuple(table["state"].tolist())
+    assert enum.inverse == tuple(table["inverse"].tolist())
+    assert enum.sequences == sequences
+
+
 def test_brickwall_two_qubit_clifford_uniform():
     # n=2, D=1 emits one uniformly random element of the 11520-element group;
     # count samples per element and apply a 5-sigma multinomial bound.
@@ -416,3 +513,8 @@ def test_gate_constructor_validation():
         CliffordCircuit(2, (Gate("H", (0, 1)),))
     with pytest.raises(ValueError):
         CliffordCircuit(2, (Gate("CNOT", (0,)),))
+
+
+if __name__ == "__main__":
+    np.save(_TABLE_PATH, breadth_first_enumeration()[0], allow_pickle=False)
+    sys.exit(0)
