@@ -17,13 +17,13 @@ the support window of gamma (its first to last non-identity letter).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, isfinite, pi, sin
+from math import cos, inf, isfinite, pi, sin
 
 import numpy as np
 
 from .clifford import CliffordCircuit, CliffordTableau, append_to_inverse
 from .mps import Mps, TruncationPolicy, diagonal_mpo, window_mpo
-from .pauli import ORACLE_CAP, SIGMA, PauliString
+from .pauli import ORACLE_CAP, SIGMA, PauliString, _index
 
 # _LAYER_SITES[g]: the uncapped bond-2 operator (I on branch 0, sigma^g on
 # branch 1) of a layer site with letter g; shared by every layer
@@ -41,8 +41,8 @@ class RotationGate:
     theta: float
 
     def __post_init__(self) -> None:
-        if self.axis not in (1, 2, 3):
-            raise ValueError("rotation axis must be 1, 2 or 3")
+        object.__setattr__(self, "site", _index(self.site, 0, inf, "rotation site"))
+        object.__setattr__(self, "axis", _index(self.axis, 1, 3, "rotation axis"))
         if not isfinite(self.theta):
             raise ValueError(f"rotation angle must be finite, got {self.theta!r}")
 

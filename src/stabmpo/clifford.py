@@ -27,11 +27,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .pauli import PauliString
+from .pauli import PauliString, _index
 
 TWO_QUBIT_CLIFFORD_COUNT = 11520
 
@@ -76,7 +77,9 @@ _GATE_ROWS = {
 _INVERSE_NAME = {"S": "SDG", "SDG": "S"}
 
 
-def _check_gate(g: Gate | Brick) -> None:
+def _check_gate(g: Gate | Brick, n: int | float = inf) -> None:
+    """Reject an unknown gate, a wrong qubit count, or a qubit that is not a
+    distinct int in [0, n)."""
     name, qubits = g.name, g.qubits
     if isinstance(g, Brick):
         count = TWO_QUBIT_CLIFFORD_COUNT
@@ -89,6 +92,8 @@ def _check_gate(g: Gate | Brick) -> None:
         raise ValueError(f"unsupported gate {name!r}")
     if len(qubits) != arity:
         raise ValueError(f"{name} expects {arity} qubit(s)")
+    for q in qubits:
+        _index(q, 0, n - 1, f"{name} qubit")
     if len(set(qubits)) != arity:
         raise ValueError(f"{name} qubits must be distinct")
 
@@ -115,9 +120,7 @@ class CliffordCircuit:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            _check_gate(g)
-            if min(g.qubits) < 0 or max(g.qubits) >= self.n:
-                raise ValueError(f"gate {g} out of range for n={self.n}")
+            _check_gate(g, self.n)
 
     def inverse(self) -> "CliffordCircuit":
         """The inverse circuit; a brick's inverse is exact up to global phase."""

@@ -13,8 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import Brick, two_qubit_clifford_sequences
-from .mps import basis_bits
-from .pauli import ORACLE_CAP, SIGMA, OracleCapError, PauliString
+from .pauli import ORACLE_CAP, SIGMA, OracleCapError, PauliString, basis_bits
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 

@@ -37,8 +37,8 @@ from .clifford import (
 )
 from .dense import GATE_2Q, apply_unitary, gate_matrix, rotation_matrix, run_blocks
 from .dense import expectation as dense_expectation
-from .mps import Mps, TruncationPolicy, basis_bits, split_two_site
-from .pauli import PauliString
+from .mps import Mps, TruncationPolicy, split_two_site
+from .pauli import PauliString, basis_bits
 from .temporal import horizontal_contract, write_temporal_csv
 
 WORKERS_ENV = "STABMPO_WORKERS"

@@ -19,10 +19,11 @@ below ``ZERO_NORM_THRESHOLD``: 1e-12 of the norm before the step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
-from .pauli import ORACLE_CAP, SIGMA, OracleCapError, PauliString
+from .pauli import ORACLE_CAP, SIGMA, OracleCapError, PauliString, _index, basis_bits
 
 ZERO_NORM_THRESHOLD = 1e-12
 
@@ -32,16 +33,17 @@ class TruncationPolicy:
     """Bond cap plus relative Schmidt-weight cutoff.
 
     The cap is applied first; afterwards singular values whose relative
-    weight s_i^2 / sum_j s_j^2 falls below ``svd_cutoff`` are dropped.
+    weight s_i^2 / sum_j s_j^2 falls below ``svd_cutoff`` are dropped.  A
+    step compresses the cuts it sweeps, and it does not sweep a full cut
+    (``Mps.apply_mpo``): there the cap cannot bind and the cutoff is not
+    applied.  The reported discarded weight is the loss of the swept cuts.
     """
 
     chi_max: int
     svd_cutoff: float = 1e-12
 
     def __post_init__(self) -> None:
-        chi = self.chi_max  # 2.5 or True would reach a slice or act as 1
-        if isinstance(chi, bool) or not isinstance(chi, (int, np.integer)) or chi < 1:
-            raise ValueError(f"chi_max must be an int >= 1, not {chi!r}")
+        _index(self.chi_max, 1, inf, "chi_max")  # 2.5 would reach a slice, True act as 1
         if not 0.0 <= self.svd_cutoff < 1.0:
             raise ValueError("svd_cutoff must be in [0, 1)")
 
@@ -92,23 +94,6 @@ def _keeps_every_weight(rho: np.ndarray, policy: TruncationPolicy) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def _index(value, lo: int, hi: int, what: str) -> int:
-    """``value`` as an int in [lo, hi]; a bool, a non-integer or any other raises."""
-    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (ok and lo <= value <= hi):  # 1.5 would reach a range, True act as 1
-        raise ValueError(f"{what} {value!r} out of range [{lo}, {hi}]")
-    return int(value)
-
-
-def basis_bits(bits) -> list[int]:
-    """Computational-basis labels as ints; each raw value must equal 0 or 1."""
-    bits = list(bits)
-    for b in bits:
-        if b not in (0, 1):  # int() would read 2 and -1 as 1, and 0.7 as 0
-            raise ValueError(f"initial bit {b!r} is not 0 or 1")
-    return [int(b) for b in bits]
 
 
 class Mps:
@@ -178,17 +163,6 @@ class Mps:
     def max_bond(self) -> int:
         return max(self.bond_dims)
 
-    def raw_norm(self) -> float:
-        """Two-norm of the tensor network, excluding the log_norm scale."""
-        e = np.ones((1, 1), dtype=np.complex128)
-        for t in self.tensors:
-            tmp = np.tensordot(e, t, axes=(1, 0))  # (a, d, r)
-            e = np.tensordot(t.conj(), tmp, axes=((0, 1), (0, 1)))  # (a', r)
-        return float(np.sqrt(abs(e[0, 0].real)))
-
-    def norm(self) -> float:
-        return self.raw_norm() * float(np.exp(self.log_norm))
-
     # ------------------------------------------------------------------
     # canonical form
     # ------------------------------------------------------------------
@@ -244,14 +218,20 @@ class Mps:
     def apply_mpo(
         self, ops: list[np.ndarray | None] | complex, policy: TruncationPolicy
     ) -> tuple["Mps", float]:
-        """Apply a matrix-product operator, then compress.
+        """Apply a matrix-product operator, then compress its core.
 
-        ``ops[j]`` is the (left bond, out, in, right bond) tensor of site j,
-        or None for an identity site outside the capped span [lo, hi].  The
-        merged bonds put the operator bond major.  The center moves into
-        [lo, hi] and only that window is swept.  A scalar s (``window_mpo``
-        with no window) puts its phase on the center tensor and log|s| into
-        ``log_norm``; an s with |s| below ``ZERO_NORM_THRESHOLD`` is
+        ``ops[j]`` is the (left bond, out, in, right bond) tensor of site j, or
+        None for an identity of bond 1; the non-None sites span [lo, hi], and
+        the merged bonds put the operator bond major.  A full cut
+        (``_full_cuts``) has a unitary basis L on its isometric side, so an
+        operator there is W L = L <L|W|L> and cannot grow the bond.  With i_r
+        the first right-full cut in (lo, hi] or hi + 1, the center moves to
+        min(max(center, lo), i_r - 1); i_l is the last left-full cut in
+        (lo, center] or lo.  The sites left of i_l and from i_r on keep their
+        tensors, their operator folded into <L|W|L> and <R|W|R> on the core
+        [i_l, i_r - 1].  Only the core is swept, and i_r - 1 ends as center.
+        A scalar s (``window_mpo`` with no window) puts its phase on the
+        center and log|s| into ``log_norm``; |s| < ``ZERO_NORM_THRESHOLD`` is
         multiplied in whole and marks the state zero.  Returns the state and
         discarded weight.
         """
@@ -268,22 +248,32 @@ class Mps:
         if not sites:
             raise ValueError("operator has no sites")
         lo, hi = sites[0], sites[-1]
-        tensors = list(self.move_center(min(max(self.center, lo), hi)).tensors)
+        left, right = _full_cuts(self.tensors, policy.chi_max)
+        i_r = min(max(right, lo + 1), hi + 1)
+        center = min(max(self.center, lo), i_r - 1)
+        i_l = max(lo, min(left, center))
+        kept = self.move_center(center).tensors
+        tensors = list(kept)
         for j in sites:  # (wl, o, wr | i) . (i | bl, br), then (wl bl, o, wr br)
             (wl, o, i, wr), (bl, _, br) = ops[j].shape, tensors[j].shape
             op = ops[j].transpose(0, 1, 3, 2).reshape(-1, i)
             merged = np.dot(op, tensors[j].transpose(1, 0, 2).reshape(i, -1))
             merged = merged.reshape(wl, o, wr, bl, br).transpose(0, 3, 1, 2, 4)
             tensors[j] = merged.reshape(wl * bl, o, wr * br)
-        return self._sweep(tensors, lo, hi, policy)
+        if i_l > lo:
+            env = _flank_env(tensors[lo:i_l], kept[lo:i_l])
+            tensors[lo:i_l] = kept[lo:i_l]
+            tensors[i_l] = _absorb_left(env, tensors[i_l])
+        if i_r <= hi:  # the right flank walked as a mirrored left one
+            flank = [t.transpose(2, 1, 0) for t in tensors[hi : i_r - 1 : -1]]
+            env = _flank_env(flank, [t.transpose(2, 1, 0) for t in kept[hi : i_r - 1 : -1]])
+            tensors[i_r : hi + 1] = kept[i_r : hi + 1]
+            tensors[i_r - 1] = _absorb_right(tensors[i_r - 1], env.T)
+        return self._sweep(tensors, i_l, i_r - 1, policy)
 
     # ------------------------------------------------------------------
     # compression
     # ------------------------------------------------------------------
-    def compress(self, policy: TruncationPolicy) -> tuple["Mps", float]:
-        """Compress the whole chain; see ``_sweep``."""
-        return self._sweep(list(self.tensors), 0, self.n - 1, policy)
-
     def _sweep(self, tensors, lo: int, hi: int, policy) -> tuple["Mps", float]:
         """Compress [lo, hi] by reduced density matrices; ``hi`` ends as center.
 
@@ -441,6 +431,33 @@ class Mps:
         for t, idx in zip(self.tensors, indices):
             v = v @ t[:, int(idx), :]
         return complex(v[0] * np.exp(self.log_norm))
+
+
+def _full_cuts(tensors, chi_max: int) -> tuple[int, int]:
+    """The last cut l and first cut r such that cuts 1..l are left- and
+    r..n-1 right-full: bond <= ``chi_max`` and equal to the dimension of all
+    sites on that side (l = 0, r = n if none); O(log chi_max) steps.
+    """
+    n = len(tensors)
+    left, size = 0, tensors[0].shape[1]
+    while left + 1 < n and tensors[left + 1].shape[0] == size <= chi_max:
+        left += 1
+        size *= tensors[left].shape[1]
+    right, size = n, tensors[-1].shape[1]
+    while right > 1 and tensors[right - 1].shape[0] == size <= chi_max:
+        right -= 1
+        size *= tensors[right - 1].shape[1]
+    return left, right
+
+
+def _flank_env(merged, kept) -> np.ndarray:
+    """<L|W|L> over a flank from its outer cut, as the (bond, operator bond x
+    bond) matrix F <- sum_o A_o^dag (F M)_o: A a kept site, M it merged with W."""
+    env = np.eye(kept[0].shape[0])
+    for m, a in zip(merged, kept):
+        fm = np.dot(env, m.reshape(m.shape[0], -1)).reshape(-1, m.shape[2])
+        env = np.dot(a.reshape(-1, a.shape[2]).conj().T, fm)
+    return env
 
 
 def _gram_walk(sites) -> tuple[list[np.ndarray], np.ndarray]:

@@ -62,6 +62,23 @@ def index_to_xz(mu: int) -> tuple[int, int]:
     return _INDEX_TO_XZ[int(mu)]
 
 
+def _index(value, lo: int, hi: int, what: str) -> int:
+    """``value`` as an int in [lo, hi]; a bool, a non-integer or any other raises."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (ok and lo <= value <= hi):  # 1.5 would reach a range, True act as 1
+        raise ValueError(f"{what} {value!r} out of range [{lo}, {hi}]")
+    return int(value)
+
+
+def basis_bits(bits) -> list[int]:
+    """Computational-basis labels as ints; each raw value must equal 0 or 1."""
+    bits = list(bits)
+    for b in bits:
+        if b not in (0, 1):  # int() would read 2 and -1 as 1, and 0.7 as 0
+            raise ValueError(f"initial bit {b!r} is not 0 or 1")
+    return [int(b) for b in bits]
+
+
 def _popcount(v: int) -> int:
     return v.bit_count()
 
@@ -110,8 +127,7 @@ class PauliString:
     @classmethod
     def single(cls, n: int, site: int, mu: int) -> "PauliString":
         """Single-site basis operator sigma^mu on ``site`` of an n-qubit string."""
-        if not 0 <= site < n:
-            raise ValueError(f"site {site} out of range for n={n}")
+        site = _index(site, 0, n - 1, "site")
         xb, zb = index_to_xz(mu)
         return cls(n, xb << site, zb << site, xb & zb)
 

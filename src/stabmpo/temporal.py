@@ -16,8 +16,8 @@ from math import ceil
 import numpy as np
 
 from .circuit import Contraction, StabMpoCircuit, letter_table, transform_observable
-from .mps import Mps, TruncationPolicy, basis_bits, diagonal_mpo, inner, window_mpo
-from .pauli import PauliString
+from .mps import Mps, TruncationPolicy, diagonal_mpo, inner, window_mpo
+from .pauli import PauliString, basis_bits
 
 
 # ----------------------------------------------------------------------

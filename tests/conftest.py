@@ -73,6 +73,24 @@ def random_mps(rng, n: int, layers: int = 3) -> Mps:
     return state
 
 
+def raw_norm(m: Mps) -> float:
+    """Two-norm of the tensor network, excluding the log_norm scale."""
+    e = np.ones((1, 1), dtype=np.complex128)
+    for t in m.tensors:
+        tmp = np.tensordot(e, t, axes=(1, 0))  # (a, d, r)
+        e = np.tensordot(t.conj(), tmp, axes=((0, 1), (0, 1)))  # (a', r)
+    return float(np.sqrt(abs(e[0, 0].real)))
+
+
+def norm(m: Mps) -> float:
+    return raw_norm(m) * float(np.exp(m.log_norm))
+
+
+def compress(m: Mps, policy: TruncationPolicy) -> tuple[Mps, float]:
+    """Compress the whole chain with the state's own sweep."""
+    return m._sweep(list(m.tensors), 0, m.n - 1, policy)
+
+
 def fidelity(vec_a: np.ndarray, vec_b: np.ndarray) -> float:
     """|<a|b>|^2 / (<a|a> <b|b>)."""
     return abs(np.vdot(vec_a, vec_b)) ** 2 / (

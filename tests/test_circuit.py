@@ -6,7 +6,7 @@ from math import cos, pi, sin
 import numpy as np
 import pytest
 
-from conftest import random_clifford_circuit, random_mps
+from conftest import norm, random_clifford_circuit, random_mps
 from stabmpo.circuit import (
     RotationGate,
     StabMpoCircuit,
@@ -273,9 +273,9 @@ def test_layer_unitarity_roundtrip():
     bwd = StabMpoLayer(gamma, -1.3)
     mid, _ = apply_layer(m, fwd, EXACT)
     back, _ = apply_layer(mid, bwd, EXACT)
-    f = abs(inner(back, m)) ** 2 / (back.norm() ** 2 * m.norm() ** 2)
+    f = abs(inner(back, m)) ** 2 / (norm(back) ** 2 * norm(m) ** 2)
     assert f > 1.0 - 1e-10
-    assert mid.norm() == pytest.approx(1.0, abs=1e-10)
+    assert norm(mid) == pytest.approx(1.0, abs=1e-10)
     c, s = fwd.phi0, fwd.phi1
     assert abs(c) ** 2 + abs(s) ** 2 == pytest.approx(1.0, abs=1e-14)
 
@@ -398,6 +398,21 @@ def test_circuit_from_text_rejects_bad_text(text):
 def test_rotation_gate_rejects_non_finite_angle(theta):
     with pytest.raises(ValueError):
         RotationGate(0, 3, theta)
+
+
+@pytest.mark.parametrize("site", [1.5, True, -1])
+def test_rotation_site_is_a_nonnegative_int(site):
+    # 1.5 used to pass and then leak TypeError from compile_blocks, True to
+    # act as site 1, -1 to wait for the compiler
+    with pytest.raises(ValueError, match="rotation site"):
+        RotationGate(site, 3, 0.5)
+    assert RotationGate(np.int64(1), 3, 0.5).site == 1
+
+
+@pytest.mark.parametrize("axis", [True, 3.0])
+def test_rotation_axis_is_an_int(axis):
+    with pytest.raises(ValueError, match="rotation axis"):
+        RotationGate(0, axis, 0.5)
 
 
 def test_rotation_gate_validation():

@@ -515,6 +515,18 @@ def test_gate_constructor_validation():
         CliffordCircuit(2, (Gate("CNOT", (0,)),))
 
 
+
+@pytest.mark.parametrize("qubit", [1.5, True, -1, np.float64(0.0)])
+def test_gate_qubit_is_a_nonnegative_int(qubit):
+    # the index rule of every constructor: 1.5 used to build a circuit, True
+    # to act as qubit 1
+    with pytest.raises(ValueError, match="H qubit"):
+        gate("H", qubit)
+    with pytest.raises(ValueError, match="CNOT qubit"):
+        CliffordCircuit(2, (Gate("CNOT", (qubit, 1)),))
+    assert gate("H", np.int64(1)).qubits == (1,)
+
+
 if __name__ == "__main__":
     np.save(_TABLE_PATH, breadth_first_enumeration()[0], allow_pickle=False)
     sys.exit(0)

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import (
+    compress,
     dense_entropy_bits,
     expand_bricks,
     fidelity,
+    norm,
     random_mps,
     random_pauli,
     random_state_vector,
     random_unitary,
+    raw_norm,
 )
 from stabmpo.circuit import (
     _LAYER_SITES,
@@ -31,7 +34,7 @@ from stabmpo.dense import (
     basis_state,
     brick_unitary,
 )
-from stabmpo.harness import apply_gates, sample_tdoped_blocks
+from stabmpo.harness import apply_gates, sample_floquet_blocks, sample_tdoped_blocks
 from stabmpo.mps import (
     Mps,
     TruncationPolicy,
@@ -185,8 +188,8 @@ def test_2q_gate_renormalize_moves_the_scale_into_log_norm():
     policy = TruncationPolicy(chi_max=2)
     out, err = m.apply_2q_gate(random_unitary(rng, 4), 2, policy)
     assert err > 1e-3
-    assert out.raw_norm() == pytest.approx(1.0, abs=1e-12)
-    assert out.norm() ** 2 == pytest.approx(1.0 - err, abs=1e-12)
+    assert raw_norm(out) == pytest.approx(1.0, abs=1e-12)
+    assert norm(out) ** 2 == pytest.approx(1.0 - err, abs=1e-12)
 
 
 def two_branch(m: Mps, ca: complex, cb: complex, letters) -> tuple[Mps, float]:
@@ -262,12 +265,12 @@ def test_add_cancellation_flags_zero():
     a = random_mps(rng, 4)
     out, _ = two_branch(a, 1.0, -1.0, [0] * 4)
     assert out.is_zero
-    assert out.raw_norm() < 1e-12  # not silently renormalized
+    assert raw_norm(out) < 1e-12  # not silently renormalized
 
 
 def test_compress_product_state_noop():
     m = Mps.product_state([0, 1, 0])
-    out, err = m.compress(TruncationPolicy(chi_max=4))
+    out, err = compress(m, TruncationPolicy(chi_max=4))
     assert err == 0.0
     assert np.allclose(out.to_dense(), m.to_dense())
 
@@ -275,7 +278,7 @@ def test_compress_product_state_noop():
 def test_compress_bell_to_chi1_discards_half():
     c = 1 / np.sqrt(2)
     bell, _ = two_branch(Mps.product_state([0, 0]), c, c, [1, 1])
-    out, err = bell.compress(TruncationPolicy(chi_max=1))
+    out, err = compress(bell, TruncationPolicy(chi_max=1))
     assert err == pytest.approx(0.5)
     assert out.max_bond == 1
 
@@ -284,7 +287,7 @@ def test_compress_fidelity_bound():
     rng = np.random.default_rng(38)
     m = random_mps(rng, 10, layers=5)  # bonds reach 32 at the middle
     assert m.max_bond == 32
-    out, err = m.compress(TruncationPolicy(chi_max=16))
+    out, err = compress(m, TruncationPolicy(chi_max=16))
     assert out.max_bond <= 16
     f = fidelity(out.to_dense(), m.to_dense())
     assert err > 0.0
@@ -295,8 +298,8 @@ def test_compress_idempotent():
     rng = np.random.default_rng(39)
     m = random_mps(rng, 6)
     policy = TruncationPolicy(chi_max=3)
-    once, _ = m.compress(policy)
-    twice, err2 = once.compress(policy)
+    once, _ = compress(m, policy)
+    twice, err2 = compress(once, policy)
     assert err2 < 1e-12
     assert once.bond_dims == twice.bond_dims
     assert fidelity(once.to_dense(), twice.to_dense()) > 1.0 - 1e-12
@@ -305,9 +308,9 @@ def test_compress_idempotent():
 def test_compress_renormalize_tracks_log_norm():
     rng = np.random.default_rng(40)
     m = random_mps(rng, 6)
-    out, err = m.compress(TruncationPolicy(chi_max=2))
-    assert out.raw_norm() == pytest.approx(1.0, abs=1e-10)
-    assert out.norm() == pytest.approx(np.sqrt(max(1.0 - err, 0.0)), abs=0.05)
+    out, err = compress(m, TruncationPolicy(chi_max=2))
+    assert raw_norm(out) == pytest.approx(1.0, abs=1e-10)
+    assert norm(out) == pytest.approx(np.sqrt(max(1.0 - err, 0.0)), abs=0.05)
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +336,36 @@ def narrow_layer(rng, n: int, lo: int, hi: int) -> StabMpoLayer:
         letters[j] = int(rng.integers(1 if j in (lo, hi) else 0, 4))
     gamma = PauliString.from_letters(letters, 2 * int(rng.integers(2)))
     return StabMpoLayer(gamma, float(rng.uniform(0, 2 * pi)))
+
+
+def full_cut(state: Mps, cut: int, chi_max: int, side: str) -> bool:
+    """Bond at ``cut`` at most chi_max and the dimension of all sites on ``side``."""
+    dims = state.phys_dims[:cut] if side == "left" else state.phys_dims[cut:]
+    return state.bond_dims[cut] == int(np.prod(dims)) <= chi_max
+
+
+def documented_core(state: Mps, lo: int, hi: int, chi_max: int) -> tuple[int, int]:
+    """The core [i_l, i_r - 1] that ``apply_mpo`` sweeps on window [lo, hi].
+
+    i_r is the first right-full cut in (lo, hi], else hi + 1; the center moves
+    to min(max(center, lo), i_r - 1); i_l is the last left-full cut in
+    (lo, center], else lo.  The result's center is i_r - 1.
+    """
+    right = [i for i in range(lo + 1, hi + 1) if full_cut(state, i, chi_max, "right")]
+    i_r = min(right, default=hi + 1)
+    center = min(max(state.center, lo), i_r - 1)
+    left = [i for i in range(lo + 1, center + 1) if full_cut(state, i, chi_max, "left")]
+    return max(left, default=lo), i_r - 1
+
+
+def pauli_layers_state(chi_max: int, n: int = 8) -> Mps:
+    """Eight random Pauli layers on |0...0>; uncapped, every cut is full."""
+    rng = np.random.default_rng(88)
+    state = Mps.product_state([0] * n)
+    for _ in range(8):
+        gamma = PauliString.from_letters([int(rng.integers(4)) for _ in range(n)])
+        state, _ = apply_layer(state, StabMpoLayer(gamma, 0.35), TruncationPolicy(chi_max))
+    return state
 
 
 def test_init_rejects_center_out_of_range():
@@ -365,7 +398,7 @@ def test_network_without_center_is_canonicalized_to_center_0():
             want = network_dense(tensors)
             ref = np.linalg.norm(want)
             assert np.linalg.norm(m.to_dense(14) - np.exp(0.3) * want) <= 1e-12 * ref
-            assert abs(m.raw_norm() - ref) <= 1e-12 * ref
+            assert abs(raw_norm(m) - ref) <= 1e-12 * ref
 
 
 def test_product_states_are_canonical_at_center_0():
@@ -428,14 +461,15 @@ def test_center_invariant_after_every_operation():
     errs = []
     for policy in (EXACT8, TruncationPolicy(chi_max=3)):
         for lo, hi in ((1, 3), (4, 7), (0, 2), (5, 5), (2, 6)):
+            core = documented_core(m, lo, hi, policy.chi_max)
             m, err = apply_layer(m, narrow_layer(rng, n, lo, hi), policy)
             assert_canonical(m)
-            assert m.center == hi
+            assert m.center == core[1]
             errs.append(err)
     assert max(errs[:5]) < 1e-14 < max(errs[5:]), "truncated layers cut nothing"
     m, _ = apply_layer(m, StabMpoLayer(PauliString.from_letters([0] * n), 0.7), EXACT8)
     assert_canonical(m)
-    out, _ = m.compress(TruncationPolicy(chi_max=2))
+    out, _ = compress(m, TruncationPolicy(chi_max=2))
     assert_canonical(out)
     assert out.center == n - 1
 
@@ -462,7 +496,8 @@ def test_window_layer_matches_full_chain_and_dense(where):
             eye = np.eye(2)[None, :, :, None]
             full, err_full = state.apply_mpo([eye if op is None else op for op in ops], policy)
             want = layer.to_dense() @ state.to_dense()
-            assert (window.center, full.center) == (hi, n - 1)
+            centers = [documented_core(state, a, b, 2**n)[1] for a, b in ((lo, hi), (0, n - 1))]
+            assert [window.center, full.center] == centers
             assert err == err_full == 0.0
             assert np.max(np.abs(window.to_dense() - full.to_dense())) < 1e-12
             assert np.max(np.abs(window.to_dense() - want)) < 1e-12
@@ -505,23 +540,57 @@ def test_expect_local_matches_expect_pauli_at_every_center():
 
 
 def test_lossy_window_layer_reports_dense_fidelity_loss():
-    # the reported discarded weight of one window-local layer is the dense 1 - F
-    rng = np.random.default_rng(88)
-    n = 8
-    state = Mps.product_state([0] * n)
-    for _ in range(8):
-        gamma = PauliString.from_letters([int(rng.integers(4)) for _ in range(n)])
-        state, _ = apply_layer(state, StabMpoLayer(gamma, 0.35), EXACT8)
+    # the reported discarded weight of one window-local layer is the dense 1 - F;
+    # the uncapped state is full at every cut, so the layer drops nothing there,
+    # and the state capped at 6 has non-full cuts in the window [2, 5]
     layer = StabMpoLayer(PauliString.from_letters([0, 0, 1, 3, 2, 1, 0, 0]), 0.35)
+    policy = TruncationPolicy(chi_max=2**8, svd_cutoff=3e-4)
+    for chi, center_after in ((2**8, 3), (6, 5)):
+        state = pauli_layers_state(chi)
+        for center in (0, 4, 7):
+            before = state.move_center(center)
+            out, reported = apply_layer(before, layer, policy)
+            assert out.center == center_after
+            want = layer.to_dense() @ before.to_dense()
+            if chi == 2**8:
+                assert reported == 0.0
+                assert np.max(np.abs(out.to_dense() - want)) < 1e-12
+                continue
+            f = fidelity(out.to_dense(), want)
+            assert reported > 1e-9, "test layer was not actually truncated"
+            assert abs((1.0 - f) - reported) <= 1e-8
+
+
+def test_layer_leaves_the_full_flanks_of_its_window_in_place():
+    # every cut is full: a layer on [2, 5] sweeps a core of one or two sites
+    # and folds its other sites into bond matrices, so they keep their arrays
+    state = pauli_layers_state(2**8)
+    assert state.bond_dims == (1, 2, 4, 8, 16, 8, 4, 2, 1)
+    layer = StabMpoLayer(PauliString.from_letters([0, 0, 1, 3, 2, 1, 0, 0]), 0.35)
+    for center, core in ((2, (2, 3)), (3, (3, 3))):
+        before = state.move_center(center)
+        assert documented_core(before, 2, 5, 2**8) == core
+        out, reported = apply_layer(before, layer, TruncationPolicy(2**8, svd_cutoff=3e-4))
+        assert reported == 0.0 and out.center == 3
+        assert out.bond_dims == before.bond_dims
+        for j in set(range(8)) - set(range(core[0], core[1] + 1)):
+            assert out.tensors[j] is before.tensors[j], (center, j)
+        want = layer.to_dense() @ before.to_dense()
+        assert np.max(np.abs(out.to_dense() - want)) < 1e-12
+
+
+def test_full_size_cut_above_chi_max_is_still_cut():
+    # cut 4 carries 16 = 2^4 > chi_max, so it is not full: it is swept and cut,
+    # and the reported weight is the dense 1 - F
+    state = pauli_layers_state(2**8)
+    layer = StabMpoLayer(PauliString.from_letters([0, 1, 3, 2, 1, 3, 2, 0]), 0.35)
     for center in (0, 4, 7):
         before = state.move_center(center)
-        out, reported = apply_layer(
-            before, layer, TruncationPolicy(chi_max=2**n, svd_cutoff=3e-4)
-        )
-        assert out.center == 5
+        out, reported = apply_layer(before, layer, TruncationPolicy(chi_max=8))
+        assert out.center == 4 and out.bond_dims[4] <= 8
         f = fidelity(out.to_dense(), layer.to_dense() @ before.to_dense())
-        assert reported > 1e-9, "test layer was not actually truncated"
-        assert abs((1.0 - f) - reported) <= 1e-8
+        assert reported > 1e-6, "test layer was not actually truncated"
+        assert abs((1.0 - f) - reported) <= 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -535,12 +604,21 @@ def random_chain(rng, n: int, d: int, chi: int) -> Mps:
 
 
 def window_operator(rng, kind: str, n: int, lo: int, hi: int) -> list:
-    """A capped operator on sites [lo, hi] as the three contractions build it.
+    """A capped operator on sites [lo, hi] as the library's callers build it.
 
     "layer": phi0 I + phi1 P, bond 2 on qubits; "row": a folded layer row,
     bond 4 on the Pauli-coefficient train; "column": a horizontal column,
-    bond 4 on the folded auxiliary chain.
+    bond 4 on the folded auxiliary chain; "brick": a brick-wall sublayer on
+    qubits, split two-qubit gates with an idle site between them and a
+    one-qubit gate at hi when no pair ends there.
     """
+    if kind == "brick":
+        ops = [None] * n
+        for a in range(lo, hi, 3):
+            ops[a], ops[a + 1] = split_two_site([random_unitary(rng, 4)])[0]
+        if ops[hi] is None:
+            ops[hi] = random_unitary(rng, 2)[None, :, :, None]
+        return ops
     letters = rng.integers(4, size=hi - lo + 1)
     phis = random_unitary(rng, 2)[0]
     if kind == "layer":
@@ -574,13 +652,15 @@ def dense_ranks(vec: np.ndarray, d: int, n: int) -> list[int]:
     return ranks + [1]
 
 
-@pytest.mark.parametrize("kind", ["layer", "row", "column"])
+@pytest.mark.parametrize("kind", ["layer", "row", "column", "brick"])
 def test_sweep_matches_dense_at_every_window_and_center(kind):
     # every window [lo, hi] from every center:
     # absorbed tails (unit sites), Gram-environment regions, unit sites inside
-    # them and tall splits all occur
-    rng = np.random.default_rng({"layer": 91, "row": 92, "column": 93}[kind])
-    n, d = 7, 2 if kind == "layer" else 4
+    # them and tall splits all occur; full cuts at both ends (every cut for
+    # d = 2, cuts 1 and n - 1 for d = 4) leave flanks outside the swept core,
+    # and the operator padded with identity sites gives the same state
+    rng = np.random.default_rng({"layer": 91, "row": 92, "column": 93, "brick": 94}[kind])
+    n, d = 7, 2 if kind in ("layer", "brick") else 4
     base = random_chain(rng, n, d, chi=8 if d == 2 else 6)
     exact = TruncationPolicy(chi_max=d**n)
     free = TruncationPolicy(chi_max=d**n, svd_cutoff=0.0)
@@ -604,6 +684,9 @@ def test_sweep_matches_dense_at_every_window_and_center(kind):
                 assert [out.bond_dims[b] for b in swept] == [ranks[b] for b in swept]
                 out, err = state.apply_mpo(ops, free)
                 assert np.linalg.norm(out.to_dense(14) - want) <= 1e-12 * scale
+                eye = np.eye(d)[None, :, :, None]
+                padded, _ = state.apply_mpo([eye if op is None else op for op in ops], free)
+                assert np.linalg.norm(padded.to_dense(14) - out.to_dense(14)) <= 1e-12 * scale
                 for b in swept:
                     assert out.bond_dims[b] <= min(out.bond_dims[b - 1] * d, merged[b])
                 for chi in (2, 3):
@@ -620,7 +703,7 @@ def test_from_site_vectors_moves_the_scale_into_log_norm():
     for v in vectors:
         want = np.kron(want, v)
     assert np.linalg.norm(m.to_dense() - want) <= 1e-14 * np.linalg.norm(want)
-    assert m.raw_norm() == pytest.approx(1.0, abs=1e-14)
+    assert raw_norm(m) == pytest.approx(1.0, abs=1e-14)
     assert not m.is_zero
     vectors[2] = np.zeros(3)
     assert Mps.from_site_vectors(vectors).is_zero
@@ -634,16 +717,16 @@ def test_tiny_state_survives_a_window_and_scalar_steps():
     state = Mps.from_site_vectors(0.25 * v / np.linalg.norm(v) for v in vectors)
     out, err = state.apply_mpo(window_operator(rng, "layer", 40, 10, 14), EXACT8)
     assert not out.is_zero and err < 1e-14
-    assert out.raw_norm() == pytest.approx(1.0, abs=1e-12)
-    assert out.norm() == pytest.approx(2.0**-80, rel=1e-12)
+    assert raw_norm(out) == pytest.approx(1.0, abs=1e-12)
+    assert norm(out) == pytest.approx(2.0**-80, rel=1e-12)
     scaled, err = out.apply_mpo(0.5j, EXACT8)
     assert err == 0.0 and not scaled.is_zero
-    assert scaled.raw_norm() == pytest.approx(1.0, abs=1e-12)
+    assert raw_norm(scaled) == pytest.approx(1.0, abs=1e-12)
     assert scaled.select_components([0] * 40) == pytest.approx(
         0.5j * out.select_components([0] * 40), rel=1e-12
     )
     gone, _ = out.apply_mpo(1e-13, EXACT8)
-    assert gone.is_zero and gone.norm() < 1e-12 * out.norm()  # flagged, not rescaled
+    assert gone.is_zero and norm(gone) < 1e-12 * norm(out)  # flagged, not rescaled
 
 
 def test_sweep_zero_and_renormalized_states():
@@ -654,7 +737,7 @@ def test_sweep_zero_and_renormalized_states():
     cancel = cap_mpo([diagonal_mpo((SIGMA[0], SIGMA[0]))] * 3, [1.0, -1.0], np.ones(2))
     zero, err = state.apply_mpo([None] * 2 + cancel + [None] * 2, EXACT8)
     assert zero.is_zero and err == 0.0
-    assert zero.raw_norm() < 1e-12
+    assert raw_norm(zero) < 1e-12
     assert all(np.all(np.isfinite(t)) for t in zero.tensors)
     ops = window_operator(rng, "layer", n, 1, 5)
     want = dense_apply(ops, state)
@@ -662,8 +745,8 @@ def test_sweep_zero_and_renormalized_states():
     for chi in (2**n, 2):
         out, err = state.apply_mpo(ops, TruncationPolicy(chi))
         got = out.to_dense()
-        assert out.raw_norm() == pytest.approx(1.0, abs=1e-12)
-        assert norm2 * (1.0 - err - 1e-12) <= out.norm() ** 2 <= norm2 * (1.0 + 1e-12)
+        assert raw_norm(out) == pytest.approx(1.0, abs=1e-12)
+        assert norm2 * (1.0 - err - 1e-12) <= norm(out) ** 2 <= norm2 * (1.0 + 1e-12)
         assert err >= 1.0 - fidelity(got, want) - 1e-12
         if chi == 2**n:
             assert np.linalg.norm(got - want) <= 1e-12 * np.sqrt(norm2)
@@ -693,6 +776,20 @@ def test_summed_amplitude_bounds_final_fidelity_loss():
     assert worst > 0.5, "no run came near the bound"
 
 
+def test_truncated_floquet_run_obeys_the_amplitude_bound():
+    # at n=10, chi=8 the outer cuts are full flanks that no layer sweeps and the
+    # middle cuts are cut at the cap; the swept cuts' weights still bound 1 - F
+    n = 10
+    layers = compile_blocks(n, sample_floquet_blocks(n, 0.1, 4, np.random.default_rng(7))).layers
+    state, vec, amplitude = Mps.product_state([0] * n), basis_state([0] * n), 0.0
+    for layer in layers:
+        state, err = apply_layer(state, layer, TruncationPolicy(chi_max=8))
+        vec = layer.phi0 * vec + layer.phi1 * apply_pauli(vec, layer.letters, n)
+        amplitude += np.sqrt(err)
+    assert amplitude > 1e-3, "the run was not truncated"
+    assert 1.0 - fidelity(state.to_dense(), vec) <= amplitude**2 + 1e-12
+
+
 # ----------------------------------------------------------------------
 # the truncation rule: a multiplet is kept or dropped whole
 # ----------------------------------------------------------------------
@@ -709,7 +806,7 @@ def test_flat_spectrum_wider_than_chi_is_cut_at_chi_with_exact_weight():
     rng = np.random.default_rng(36)
     u, v = random_unitary(rng, 8), random_unitary(rng, 8)
     vec = (u @ v.T).reshape(-1) / np.sqrt(8)  # eight Schmidt weights 1/8 at cut 3
-    out, err = dense_to_mps(vec, 6).compress(TruncationPolicy(chi_max=4))
+    out, err = compress(dense_to_mps(vec, 6), TruncationPolicy(chi_max=4))
     assert out.bond_dims[3] == 4 and abs(err - 0.5) < 1e-14
     assert abs(1.0 - fidelity(out.to_dense(), vec) - err) < 1e-14
 
@@ -783,7 +880,7 @@ def test_certified_split_cuts_exactly_where_the_eigen_split_cuts(eigh_sizes):
         state, w = schmidt_state(rng, np.array(tail))
         vec = state.to_dense()
         eigh_sizes.clear()
-        out, err = state.compress(policy)
+        out, err = compress(state, policy)
         assert eigh_sizes == cut_eighs, tail
         assert out.bond_dims[3] == _truncate_spectrum(w, policy)[0]
         for cut in (1, 2, 4, 5):  # generic spectra, nothing below the cutoff
@@ -809,7 +906,7 @@ def test_split_above_chi_max_always_goes_to_eigh(eigh_sizes):
     state, _ = schmidt_state(rng, np.array([]))
     for chi, cuts in ((8, []), (4, [8]), (2, [4, 4, 4])):
         eigh_sizes.clear()
-        out, err = state.compress(TruncationPolicy(chi_max=chi))
+        out, err = compress(state, TruncationPolicy(chi_max=chi))
         assert eigh_sizes == cuts, chi
         assert out.max_bond == chi and (err > 1e-3) == bool(cuts)
         assert_canonical(out)
@@ -819,12 +916,12 @@ def test_zero_cutoff_keeps_zero_weights_without_eigh(eigh_sizes):
     rng = np.random.default_rng(97)
     state, _ = schmidt_state(rng, np.array([0.0] * 6))  # Schmidt rank 2 at cut 3
     assert state.bond_dims == (1, 2, 4, 8, 4, 2, 1)
-    out, err = state.compress(TruncationPolicy(chi_max=64, svd_cutoff=0.0))
+    out, err = compress(state, TruncationPolicy(chi_max=64, svd_cutoff=0.0))
     assert eigh_sizes == [] and err == 0.0
     assert out.bond_dims == state.bond_dims
     assert np.linalg.norm(out.to_dense() - state.to_dense()) < 1e-12
     assert_canonical(out)
-    out, err = state.compress(TruncationPolicy(chi_max=64))
+    out, err = compress(state, TruncationPolicy(chi_max=64))
     assert out.bond_dims[3] == 2 and eigh_sizes
     assert np.linalg.norm(out.to_dense() - state.to_dense()) < 1e-12
 
@@ -888,9 +985,9 @@ def test_gram_spectrum_matches_svd_at_every_center_and_cut():
     rng = np.random.default_rng(50)
     n = 7
     exact = random_mps(rng, n)
-    lossy, err = exact.compress(TruncationPolicy(chi_max=3))
-    assert err > 1e-6 and lossy.norm() < 1.0 - 1e-6, "state was not truncated"
-    assert lossy.log_norm != 0.0 and lossy.raw_norm() == pytest.approx(1.0, abs=1e-12)
+    lossy, err = compress(exact, TruncationPolicy(chi_max=3))
+    assert err > 1e-6 and norm(lossy) < 1.0 - 1e-6, "state was not truncated"
+    assert lossy.log_norm != 0.0 and raw_norm(lossy) == pytest.approx(1.0, abs=1e-12)
     scaled = Mps([2.0 * t for t in lossy.tensors], lossy.log_norm)  # a network of norm 2**n
     for state in (exact, lossy, scaled):
         vec = state.to_dense()
@@ -932,7 +1029,7 @@ def test_numerator_only_expect_pauli_on_unnormalized_state():
     for _ in range(8):
         gamma = PauliString.from_letters([int(rng.integers(4)) for _ in range(n)])
         state, _ = apply_layer(state, StabMpoLayer(gamma, 0.35), lossy)
-    assert state.norm() < 1.0 - 1e-6, "state was not truncated"
+    assert norm(state) < 1.0 - 1e-6, "state was not truncated"
     vec = state.to_dense()
     strings = [random_pauli(rng, n) for _ in range(6)] + [PauliString(n, 0, 0)]
     free = Mps(state.tensors)
@@ -958,7 +1055,7 @@ def test_inner_examples_and_symmetry():
     ref = np.vdot(a.to_dense(), b.to_dense())
     assert inner(a, b) == pytest.approx(ref, abs=1e-10)
     assert inner(b, a) == pytest.approx(np.conj(inner(a, b)), abs=1e-12)
-    assert abs(inner(a, b)) <= a.norm() * b.norm() + 1e-12
+    assert abs(inner(a, b)) <= norm(a) * norm(b) + 1e-12
 
 
 def test_unitary_gates_preserve_norm():
@@ -968,7 +1065,7 @@ def test_unitary_gates_preserve_norm():
         site = int(rng.integers(6))
         m, err = m.apply_2q_gate(random_unitary(rng, 4), site, EXACT8)
         assert err == pytest.approx(0.0, abs=1e-14)
-    assert m.norm() == pytest.approx(1.0, abs=1e-10)
+    assert norm(m) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_engine_exact_for_small_systems():

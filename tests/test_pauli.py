@@ -154,6 +154,14 @@ def test_letter_index_out_of_range_rejected(mu):
         PauliString.from_letters([mu])
 
 
+@pytest.mark.parametrize("site", [1.5, True, np.float64(1.0)])
+def test_single_site_is_an_int(site):
+    # 1.5 used to leak TypeError, True to act as site 1
+    with pytest.raises(ValueError, match="site"):
+        PauliString.single(3, site, 1)
+    assert PauliString.single(3, np.int64(1), 1).to_literal() == "+IXI"
+
+
 def test_index_mapping_roundtrip():
     from stabmpo.pauli import index_to_xz
 
