@@ -51,13 +51,7 @@ from .harness import (
 )
 from .mps import Mps, TruncationPolicy, inner
 from .pauli import OracleCapError, PauliString, pauli_coefficient
-from .temporal import (
-    build_folded_site,
-    gamma_structure,
-    horizontal_contract,
-    s_factor,
-    vertical_fold_evolve,
-)
+from .temporal import horizontal_contract, vertical_fold_evolve
 
 __all__ = [
     "Brick",
@@ -77,19 +71,16 @@ __all__ = [
     "TruncationPolicy",
     "analytic_magnetization",
     "apply_layer",
-    "build_folded_site",
     "compile_blocks",
     "conjugate_rotation",
     "dense_oracle_run",
     "expectation",
-    "gamma_structure",
     "gate",
     "horizontal_contract",
     "inner",
     "pauli_coefficient",
     "run_floquet",
     "run_tdoped",
-    "s_factor",
     "sample_brickwall",
     "sample_u1_clifford",
     "t_gate",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import circuit, temporal
 from .circuit import compile_blocks, expectation
 from .clifford import (
     Brick,
@@ -24,15 +25,9 @@ from .clifford import (
 from .dense import apply_circuit, apply_pauli, basis_state, circuit_unitary
 from .harness import apply_gates, dense_oracle_run, sample_tdoped_blocks
 from .harness import twirl_s_channel_check
-from .mps import Mps, TruncationPolicy
+from .mps import Mps, TruncationPolicy, cap_mpo, diagonal_mpo
 from .pauli import SIGMA, PauliString
-from .temporal import (
-    build_folded_site,
-    gamma_structure,
-    horizontal_contract,
-    s_factor,
-    vertical_fold_evolve,
-)
+from .temporal import folded_coefficients, horizontal_contract, vertical_fold_evolve
 
 
 def _require(ok: bool, what: str) -> None:
@@ -123,35 +118,41 @@ def _check_twirl() -> None:
     _require(twirl_s_channel_check(), "replica-twirl identity fails")
 
 
-def _check_structure_factors() -> None:
+def _half_traces(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """1/2 Tr(sigma^mu left sigma^nu right^dag) over (mu, nu), one product each."""
+    prods = [
+        [SIGMA[mu] @ left @ SIGMA[nu] @ right.conj().T for nu in range(4)] for mu in range(4)
+    ]
+    return 0.5 * np.trace(np.array(prods), axis1=2, axis2=3)
+
+
+def _check_transfer_tables(rng) -> None:
+    """The operator tables that ``window_mpo`` caps, read at call time, vs dense.
+
+    Uncapped, every entry is exact: layer site g has the branches W_0 = I and
+    W_1 = sigma^g, folded row block a = 2k + b is the half-traces of W_k and
+    W_b, and the columns are the rows transposed.  Capped with random angles,
+    they match phi0 I + phi1 sigma^g and its folded channel.
+    """
+    sites, rows = circuit._LAYER_SITES, temporal._FOLDED_ROWS
     for g in range(4):
-        for mu in range(4):
-            s_dense = 0.5 * np.trace(SIGMA[mu] @ SIGMA[g] @ SIGMA[mu] @ SIGMA[g])
-            ok = abs(s_factor(mu, g) - s_dense) < 1e-14
-            _require(ok, "s factor differs from dense")
-            for nu in range(4):
-                g_dense = 0.5 * np.trace(SIGMA[mu] @ SIGMA[nu] @ SIGMA[g])
-                ok = abs(gamma_structure(mu, nu, g) - g_dense) < 1e-14
-                _require(ok, "gamma factor differs from dense")
-
-
-def _check_folded_sites(rng) -> None:
+        w = (SIGMA[0], SIGMA[g])
+        blocks = [_half_traces(w[a // 2], w[a % 2]) for a in range(4)]
+        _require(np.array_equal(sites[g], diagonal_mpo(w)), f"layer site {g} differs")
+        _require(np.array_equal(rows[g], diagonal_mpo(blocks)), f"folded row {g} differs")
+        column = rows[g].transpose(2, 0, 3, 1)
+        _require(np.array_equal(temporal._FOLDED_COLUMNS[g], column), f"column {g} differs")
     for _ in range(20):
         g = int(rng.integers(4))
         theta = float(rng.uniform(0, 2 * np.pi))
         phi0, phi1 = np.cos(theta / 2), -1j * np.sin(theta / 2)
-        tensor = build_folded_site(g, phi0, phi1)
-        ops = (phi0 * SIGMA[0], phi1 * SIGMA[g])
-        for a_ket in range(2):
-            for a_bra in range(2):
-                a = 2 * a_ket + a_bra
-                for mu in range(4):
-                    for nu in range(4):
-                        ref = 0.5 * np.trace(
-                            SIGMA[mu] @ ops[a_ket] @ SIGMA[nu] @ ops[a_bra].conj().T
-                        )
-                        ok = abs(tensor[a, mu, nu] - ref) < 1e-12
-                        _require(ok, "folded tensor differs from dense")
+        layer = phi0 * SIGMA[0] + phi1 * SIGMA[g]
+        (site,) = cap_mpo([sites[g]], [phi0, phi1], np.ones(2))
+        (row,) = cap_mpo([rows[g]], folded_coefficients(phi0, phi1), np.ones(4))
+        ok = np.allclose(site[0, :, :, 0], layer, atol=1e-12)
+        _require(ok, "capped layer site differs from dense")
+        ok = np.allclose(row[0, :, :, 0], _half_traces(layer, layer), atol=1e-12)
+        _require(ok, "capped folded row differs from dense")
 
 
 def _three_methods(compiled, obs: PauliString, policy) -> list:
@@ -214,8 +215,7 @@ CHECKS = (
     ("two-qubit-clifford-enumeration", lambda rng: _check_enumeration()),
     ("u1-clifford-z-certificates", _check_u1_certificates),
     ("replica-twirl-identities", lambda rng: _check_twirl()),
-    ("structure-factors-vs-dense", lambda rng: _check_structure_factors()),
-    ("folded-site-tensors-vs-dense", _check_folded_sites),
+    ("transfer-tables-vs-dense", _check_transfer_tables),
     ("cross-method-expectation", _check_cross_methods),
     ("mps-gates-vs-dense", _check_mps_exactness),
     ("two-qubit-clifford-bricks-vs-dense", _check_bricks),

@@ -15,52 +15,22 @@ from math import ceil
 
 import numpy as np
 
+from .circuit import _LAYER_SITES
 from .circuit import Contraction, StabMpoCircuit, letter_table, transform_observable
 from .mps import Mps, TruncationPolicy, diagonal_mpo, inner, window_mpo
-from .pauli import PauliString, basis_bits
+from .pauli import SIGMA, PauliString, basis_bits
 
 
-# ----------------------------------------------------------------------
-# scalar structure factors
-# ----------------------------------------------------------------------
-def gamma_structure(mu: int, nu: int, g: int) -> complex:
-    """Half-trace of sigma^mu sigma^nu sigma^g, exact from the group law."""
-    a = PauliString.single(1, 0, mu)
-    b = PauliString.single(1, 0, nu)
-    prod = a.mul(b)
-    if prod.letter(0) != g:
-        return 0.0 + 0.0j
-    return complex(prod.phase)
+# _FOLDED_ROWS[g]: the uncapped (a, mu, nu, a) row operator of letter g, read
+# off the layer site: with W_0 = I and W_1 = sigma^g its two diagonal branches,
+# block a = 2k + b is 1/2 Tr(sigma^mu W_k sigma^nu W_b^dag)
+def _folded_row(layer_site: np.ndarray) -> np.ndarray:
+    w = np.einsum("kijk->kij", layer_site)
+    blocks = 0.5 * np.einsum("mij,kjl,nlp,bip->kbmn", SIGMA, w, SIGMA, w.conj())
+    return diagonal_mpo(blocks.reshape(4, 4, 4))
 
 
-def s_factor(mu: int, g: int) -> float:
-    """Half-trace of sigma^mu sigma^g sigma^mu sigma^g: +1 commuting, -1 not."""
-    if mu == 0 or g == 0 or mu == g:
-        return 1.0
-    return -1.0
-
-
-def _coefficient_free_blocks(g: int) -> list[np.ndarray]:
-    """Transfer blocks of letter g per folded auxiliary value.
-
-    Index order: 0 = (ket I, bra I), 1 = (I, string), 2 = (string, I),
-    3 = (string, string).
-    """
-    gm = np.array([[gamma_structure(mu, nu, g) for nu in range(4)] for mu in range(4)])
-    s = np.diag([s_factor(mu, g) for mu in range(4)])
-    return [np.eye(4), gm, gm.T, s]
-
-
-# FOLDED_BLOCKS[g, a, mu, nu]: the one source of the coefficient-free folded
-# blocks, read by the site tensor and the row and column operators
-FOLDED_BLOCKS = np.array(
-    [_coefficient_free_blocks(g) for g in range(4)], dtype=np.complex128
-)
-FOLDED_BLOCKS.setflags(write=False)
-
-# _FOLDED_ROWS[g]: the uncapped (a, mu, nu, a) row operator of letter g, with
-# FOLDED_BLOCKS[g, a] on the diagonal of the folded auxiliary bond
-_FOLDED_ROWS = tuple(diagonal_mpo(FOLDED_BLOCKS[g]) for g in range(4))
+_FOLDED_ROWS = tuple(_folded_row(site) for site in _LAYER_SITES)
 for _row in _FOLDED_ROWS:
     _row.setflags(write=False)  # shared by every layer of every contraction
 
@@ -71,8 +41,8 @@ for _row in _FOLDED_ROWS:
 def folded_coefficients(phi0: complex, phi1: complex) -> tuple[complex, ...]:
     """Weights of the four folded auxiliary values of one layer.
 
-    In the index order of ``FOLDED_BLOCKS``: (|phi0|^2, phi0 phi1*,
-    phi0* phi1, |phi1|^2).
+    In the order of the rows' auxiliary index a = 2k + b: (|phi0|^2,
+    phi0 phi1*, phi0* phi1, |phi1|^2).
     """
     return (
         abs(phi0) ** 2,
@@ -80,18 +50,6 @@ def folded_coefficients(phi0: complex, phi1: complex) -> tuple[complex, ...]:
         np.conj(phi0) * phi1,
         abs(phi1) ** 2,
     )
-
-
-def build_folded_site(gamma_j: int, phi0: complex, phi1: complex) -> np.ndarray:
-    """Folded transfer tensor w[a, mu, nu] of one layer site, coefficients included.
-
-    Diagonal in the auxiliary index ``a``.  ``phi0, phi1`` must form a
-    unitary pair (|phi0|^2 + |phi1|^2 = 1).
-    """
-    if abs(abs(phi0) ** 2 + abs(phi1) ** 2 - 1.0) > 1e-10:
-        raise ValueError("coefficient pair is not unitary")
-    coeffs = np.array(folded_coefficients(phi0, phi1))
-    return coeffs[:, None, None] * FOLDED_BLOCKS[gamma_j]
 
 
 def computational_pauli_vector(bit: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import compress, norm, random_clifford_circuit, random_mps
+from stabmpo import circuit, selftest, temporal
 from stabmpo.circuit import (
     StabMpoLayer,
     compile_blocks,
@@ -36,15 +37,9 @@ from stabmpo.harness import (
     sample_tdoped_blocks,
     twirl_s_channel_check,
 )
-from stabmpo.mps import Mps, TruncationPolicy
+from stabmpo.mps import Mps, TruncationPolicy, cap_mpo
 from stabmpo.pauli import SIGMA, PauliString, pauli_coefficient
-from stabmpo.temporal import (
-    build_folded_site,
-    gamma_structure,
-    horizontal_contract,
-    s_factor,
-    vertical_fold_evolve,
-)
+from stabmpo.temporal import folded_coefficients, horizontal_contract, vertical_fold_evolve
 
 
 @contextmanager
@@ -217,38 +212,64 @@ def test_criterion_5_twirl_suite():
 # 6. transfer-tensor algebra
 # ----------------------------------------------------------------------
 def test_criterion_6_transfer_tensor_algebra():
+    # the tables that window_mpo caps and applies, read from their modules at
+    # call time: the layer sites' branches W_0 = I, W_1 = sigma^g, and every
+    # entry of the folded rows' blocks a = 2k + b, 1/2 Tr(sigma^mu W_k sigma^nu
+    # W_b^dag), exactly; Gamma sits at a = 1, its transpose at a = 2, diag S at 3
     with report(6, "transfer-tensor-algebra"):
         checked = 0
         for g in range(4):
-            for mu in range(4):
-                ref_s = 0.5 * np.trace(SIGMA[mu] @ SIGMA[g] @ SIGMA[mu] @ SIGMA[g])
-                assert s_factor(mu, g) == ref_s.real
-                checked += 1
-                for nu in range(4):
-                    ref_g = 0.5 * np.trace(SIGMA[mu] @ SIGMA[nu] @ SIGMA[g])
-                    assert gamma_structure(mu, nu, g) == ref_g
-                    checked += 1
-        assert checked == 80
+            site, row = circuit._LAYER_SITES[g], temporal._FOLDED_ROWS[g]
+            w = (SIGMA[0], SIGMA[g])
+            for a in range(4):
+                assert not np.any(np.delete(row[a], a, axis=2))  # diagonal in a
+                if a < 2:
+                    assert not np.any(np.delete(site[a], a, axis=2))
+                    assert np.array_equal(site[a, :, :, a], w[a])
+                for mu in range(4):
+                    for nu in range(4):
+                        ref = 0.5 * np.trace(
+                            SIGMA[mu] @ w[a // 2] @ SIGMA[nu] @ w[a % 2].conj().T
+                        )
+                        assert row[a, mu, nu, a] == ref
+                        checked += 1
+            column = row.transpose(2, 0, 3, 1)
+            assert np.array_equal(temporal._FOLDED_COLUMNS[g], column)
+        assert checked == 256
 
+        # the same tables capped with a layer's coefficients, as window_mpo caps
         rng = np.random.default_rng(66)
         for _ in range(100):
             g = int(rng.integers(4))
             theta = float(rng.uniform(0, 2 * pi))
             phi0, phi1 = cos(theta / 2), -1j * sin(theta / 2)
-            tensor = build_folded_site(g, phi0, phi1)
-            ops = (phi0 * SIGMA[0], phi1 * SIGMA[g])
-            for a_ket in range(2):
-                for a_bra in range(2):
-                    a = 2 * a_ket + a_bra
-                    for mu in range(4):
-                        for nu in range(4):
-                            ref = 0.5 * np.trace(
-                                SIGMA[mu]
-                                @ ops[a_ket]
-                                @ SIGMA[nu]
-                                @ ops[a_bra].conj().T
-                            )
-                            assert abs(tensor[a, mu, nu] - ref) <= 1e-12
+            layer = phi0 * SIGMA[0] + phi1 * SIGMA[g]
+            (site,) = cap_mpo([circuit._LAYER_SITES[g]], [phi0, phi1], np.ones(2))
+            assert np.max(np.abs(site[0, :, :, 0] - layer)) <= 1e-12
+            coeffs = folded_coefficients(phi0, phi1)
+            (row,) = cap_mpo([temporal._FOLDED_ROWS[g]], coeffs, np.ones(4))
+            for mu in range(4):
+                for nu in range(4):
+                    ref = 0.5 * np.trace(SIGMA[mu] @ layer @ SIGMA[nu] @ layer.conj().T)
+                    assert abs(row[0, mu, nu, 0] - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("g", range(4))
+@pytest.mark.parametrize("table", ["layer", "row"])
+def test_table_checks_read_the_production_tables(monkeypatch, table, g):
+    # one sign-flipped entry of a table that window_mpo caps must fail both
+    # criterion 6 and selftest's table check
+    module = circuit if table == "layer" else temporal
+    name = "_LAYER_SITES" if table == "layer" else "_FOLDED_ROWS"
+    tables = list(getattr(module, name))
+    flipped = tables[g].copy()
+    flipped.flat[np.flatnonzero(flipped)[-1]] *= -1
+    tables[g] = flipped
+    monkeypatch.setattr(module, name, tuple(tables))
+    with pytest.raises(AssertionError):
+        test_criterion_6_transfer_tensor_algebra()
+    with pytest.raises(RuntimeError):
+        selftest._check_transfer_tables(np.random.default_rng(0))
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,12 @@ from stabmpo.mps import (
     window_mpo,
 )
 from stabmpo.pauli import SIGMA, PauliString
-from stabmpo.temporal import FOLDED_BLOCKS, computational_pauli_vector, folded_coefficients
+from stabmpo.temporal import (
+    _FOLDED_COLUMNS,
+    _FOLDED_ROWS,
+    computational_pauli_vector,
+    folded_coefficients,
+)
 
 EXACT8 = TruncationPolicy(chi_max=2**8)
 
@@ -622,13 +627,13 @@ def window_operator(rng, kind: str, n: int, lo: int, hi: int) -> list:
     letters = rng.integers(4, size=hi - lo + 1)
     phis = random_unitary(rng, 2)[0]
     if kind == "layer":
-        sites = [diagonal_mpo((SIGMA[0], SIGMA[g])) for g in letters]
+        sites = [_LAYER_SITES[g] for g in letters]
         caps = (phis, np.ones(2))
     elif kind == "row":
-        sites = [diagonal_mpo(FOLDED_BLOCKS[g]) for g in letters]
+        sites = [_FOLDED_ROWS[g] for g in letters]
         caps = (folded_coefficients(*phis), np.ones(4))
     else:
-        sites = [diagonal_mpo(FOLDED_BLOCKS[g]).transpose(2, 0, 3, 1) for g in letters]
+        sites = [_FOLDED_COLUMNS[g] for g in letters]
         top = 2.0 * np.eye(4)[int(rng.integers(4))]
         caps = (computational_pauli_vector(int(rng.integers(2))), top)
     return [None] * lo + cap_mpo(sites, *caps) + [None] * (n - 1 - hi)

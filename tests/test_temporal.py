@@ -20,15 +20,13 @@ from stabmpo.clifford import CliffordCircuit, CliffordTableau, Gate
 from stabmpo.harness import dense_oracle_run, realization_rng, sample_tdoped_blocks
 from stabmpo.mps import Mps, TruncationPolicy, cap_mpo, inner, window_mpo
 from stabmpo.pauli import SIGMA, PauliString, pauli_coefficient
+from stabmpo import temporal
 from stabmpo.temporal import (
     _FOLDED_COLUMNS,
     _FOLDED_ROWS,
-    build_folded_site,
     computational_pauli_vector,
     folded_coefficients,
-    gamma_structure,
     horizontal_contract,
-    s_factor,
     vertical_fold_evolve,
 )
 
@@ -36,53 +34,74 @@ EXACT = TruncationPolicy(chi_max=2**8)
 
 
 # ----------------------------------------------------------------------
-# structure factors (dense half-trace oracles, exhaustive)
+# the folded rows that production applies, block by block
 # ----------------------------------------------------------------------
+def row_blocks(g: int) -> np.ndarray:
+    """(a, mu, nu) diagonal blocks of the uncapped folded row of letter g.
+
+    Read from the module at call time: the rows ``window_mpo`` caps.  Block
+    a = 1 holds Gamma[mu, nu] = Tr(sigma^mu sigma^nu sigma^g)/2, a = 2 its
+    transpose, and a = 3 the diagonal S[mu] = Tr(sigma^mu sigma^g sigma^mu
+    sigma^g)/2.
+    """
+    return np.einsum("amna->amn", temporal._FOLDED_ROWS[g])
+
+
 def test_gamma_exhaustive_dense_oracle():
     for g in range(4):
         for mu in range(4):
             for nu in range(4):
                 dense = 0.5 * np.trace(SIGMA[mu] @ SIGMA[nu] @ SIGMA[g])
-                assert gamma_structure(mu, nu, g) == pytest.approx(dense, abs=1e-14)
+                assert row_blocks(g)[1, mu, nu] == dense
+                assert row_blocks(g)[2, nu, mu] == dense
 
 
 def test_gamma_examples():
-    for mu in range(4):
-        for nu in range(4):
-            assert gamma_structure(mu, nu, 0) == (1.0 if mu == nu else 0.0)
-    assert gamma_structure(1, 2, 3) == pytest.approx(1j)  # Tr(XYZ)/2
+    assert np.array_equal(row_blocks(0)[1], np.eye(4))
+    assert row_blocks(3)[1, 1, 2] == 1j  # Tr(XYZ)/2
     for mu in range(1, 4):
         for g in range(1, 4):
-            assert gamma_structure(mu, mu, g) == 0.0
+            assert row_blocks(g)[1, mu, mu] == 0.0
 
 
 def test_gamma_hermiticity():
     for g in range(4):
-        for mu in range(4):
-            for nu in range(4):
-                assert gamma_structure(mu, nu, g) == pytest.approx(
-                    np.conj(gamma_structure(nu, mu, g))
-                )
+        gamma = row_blocks(g)[1]
+        assert np.array_equal(gamma, gamma.conj().T)
 
 
 def test_s_factor_exhaustive_dense_oracle():
     for g in range(4):
+        s = row_blocks(g)[3]
+        assert np.array_equal(s, np.diag(np.diag(s)))
         for mu in range(4):
             dense = 0.5 * np.trace(SIGMA[mu] @ SIGMA[g] @ SIGMA[mu] @ SIGMA[g])
-            assert s_factor(mu, g) == pytest.approx(dense.real, abs=1e-14)
-            assert s_factor(mu, g) in (1.0, -1.0)
+            assert s[mu, mu] == dense
+            assert s[mu, mu] in (1.0, -1.0)
 
 
 def test_s_factor_examples():
-    assert all(s_factor(0, g) == 1.0 for g in range(4))
-    assert all(s_factor(mu, 0) == 1.0 for mu in range(4))
-    assert s_factor(3, 3) == 1.0
-    assert s_factor(1, 3) == -1.0  # ZXZ = -X
+    assert all(row_blocks(g)[3, 0, 0] == 1.0 for g in range(4))
+    assert np.array_equal(row_blocks(0)[3], np.eye(4))
+    assert row_blocks(3)[3, 3, 3] == 1.0
+    assert row_blocks(3)[3, 1, 1] == -1.0  # ZXZ = -X
+
+
+def test_identity_block_and_columns_are_the_rows():
+    for g in range(4):
+        assert np.array_equal(row_blocks(g)[0], np.eye(4))
+        column = temporal._FOLDED_ROWS[g].transpose(2, 0, 3, 1)
+        assert np.array_equal(temporal._FOLDED_COLUMNS[g], column)
 
 
 # ----------------------------------------------------------------------
-# folded site tensors
+# folded site tensors: the rows weighted by a layer's folded coefficients
 # ----------------------------------------------------------------------
+def folded_site(g: int, phi0: complex, phi1: complex) -> np.ndarray:
+    """w[a, mu, nu]: block a of the row of letter g times its coefficient."""
+    return np.array(folded_coefficients(phi0, phi1))[:, None, None] * row_blocks(g)
+
+
 def dense_folded_reference(g: int, phi0: complex, phi1: complex) -> np.ndarray:
     ops = (phi0 * SIGMA[0], phi1 * SIGMA[g])
     w = np.zeros((4, 4, 4), dtype=complex)
@@ -98,7 +117,7 @@ def dense_folded_reference(g: int, phi0: complex, phi1: complex) -> np.ndarray:
 
 
 def test_folded_site_disconnected_when_trivial():
-    t = build_folded_site(0, cos(0.4), -1j * sin(0.4))
+    t = folded_site(0, cos(0.4), -1j * sin(0.4))
     for a in range(4):
         block = t[a]
         assert np.allclose(block, block[0, 0] * np.eye(4))
@@ -106,13 +125,13 @@ def test_folded_site_disconnected_when_trivial():
 
 def test_folded_site_t_gate_block():
     phi0, phi1 = cos(pi / 8), -1j * sin(pi / 8)
-    t = build_folded_site(3, phi0, phi1)
+    t = folded_site(3, phi0, phi1)
     want = sin(pi / 8) ** 2 * np.diag([1.0, -1.0, -1.0, 1.0])
     assert np.allclose(t[3], want, atol=1e-14)
 
 
 def test_folded_site_pure_identity_channel():
-    t = build_folded_site(2, 1.0, 0.0)
+    t = folded_site(2, 1.0, 0.0)
     assert np.allclose(t[0], np.eye(4))
     for a in (1, 2, 3):
         assert np.allclose(t[a], 0.0)
@@ -125,13 +144,8 @@ def test_folded_site_random_vs_dense_trace():
         theta = float(rng.uniform(0, 2 * pi))
         sign = 1.0 if rng.integers(2) else -1.0
         phi0, phi1 = cos(theta / 2), sign * -1j * sin(theta / 2)
-        t = build_folded_site(g, phi0, phi1)
+        t = folded_site(g, phi0, phi1)
         assert np.max(np.abs(t - dense_folded_reference(g, phi0, phi1))) < 1e-12
-
-
-def test_folded_site_rejects_non_unitary_pair():
-    with pytest.raises(ValueError):
-        build_folded_site(1, 1.0, 0.5)
 
 
 def test_computational_pauli_vector_roundtrip():
