@@ -426,11 +426,17 @@ class Mps:
         return v[:, 0] * np.exp(self.log_norm)
 
     def select_components(self, indices) -> complex:
-        """Contract fixing one physical index per site (product-basis element)."""
-        v = np.ones((1,), dtype=np.complex128)
+        """Contract fixing one physical index per site (product-basis element).
+
+        The running vector is rescaled by exact powers of two, so an element
+        that a long chain takes outside the float range on the way still reads.
+        """
+        v, exponent = np.ones((1,), dtype=np.complex128), 0
         for t, idx in zip(self.tensors, indices):
             v = v @ t[:, int(idx), :]
-        return complex(v[0] * np.exp(self.log_norm))
+            e = int(np.frexp(np.max(np.abs(v)))[1])
+            v, exponent = v * np.ldexp(1.0, -e), exponent + e
+        return complex(v[0] * np.exp(self.log_norm + exponent * np.log(2.0)))
 
 
 def _full_cuts(tensors, chi_max: int) -> tuple[int, int]:

@@ -85,7 +85,9 @@ def vertical_fold_evolve(
     bits = basis_bits(bits)
     if len(bits) != circuit.n:
         raise ValueError("initial state length mismatch")
-    y = Mps.from_site_vectors([computational_pauli_vector(b) for b in bits])
+    # |s><s| = sum_mu c_mu sigma^mu / 2: the train holds 2 c, so a component
+    # times 2^n needs no factor outside the network
+    y = Mps.from_site_vectors([2 * computational_pauli_vector(b) for b in bits])
     res = Contraction()
 
     letters = letter_table([layer.gamma for layer in circuit.layers], circuit.n)
@@ -96,8 +98,7 @@ def vertical_fold_evolve(
             return res
 
     nu, sign = _observable_letters(circuit, observable)
-    raw = y.select_components(nu.letters()) * 2**circuit.n
-    value = sign * raw
+    value = sign * y.select_components(nu.letters())
     if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
         raise ValueError(f"folded expectation has imaginary residual {value.imag}")
     res.value = float(value.real)

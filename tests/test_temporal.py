@@ -396,6 +396,23 @@ def test_three_methods_agree_where_the_coefficient_train_is_tiny(n):
             assert max(values) - min(values) <= 1e-12, (seed, j, values)
 
 
+@pytest.mark.parametrize("n", [1030, 2100])
+def test_vertical_fold_reads_its_value_beyond_float_range(n):
+    # 2**n no longer converts to a float from n = 1024 on, and the coefficient
+    # train's element leaves the float range on the way: the fold must read
+    # the value that layer evolution and the horizontal sweep read
+    bits = [0] * n
+    circ = compile_blocks(n, sample_tdoped_blocks(n, 4, 1, realization_rng(n, 0)))
+    for j in (0, n // 2, n - 1):
+        obs = circ.residual.conjugate(PauliString.single(n, j, 3), "forward")
+        fold = vertical_fold_evolve(circ, obs, bits, EXACT).value
+        for other in (
+            expectation(Mps.product_state(bits), circ, obs, EXACT),
+            horizontal_contract(circ, obs, bits, EXACT),
+        ):
+            assert fold == pytest.approx(other.value, abs=1e-12), (j, fold, other.value)
+
+
 def test_horizontal_rejects_length_mismatch():
     circ = trivial_circuit(3, [])
     with pytest.raises(ValueError):
