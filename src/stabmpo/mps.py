@@ -37,6 +37,9 @@ class TruncationPolicy:
     step compresses the cuts it sweeps, and it does not sweep a full cut
     (``Mps.apply_mpo``): there the cap cannot bind and the cutoff is not
     applied.  The reported discarded weight is the loss of the swept cuts.
+    The vertical fold and the horizontal sweep are linear in their chains, so
+    a dropped weight w moves their value by up to sqrt(w): they cut their
+    chains on amplitude, at weight ``svd_cutoff**2``.
     """
 
     chi_max: int

@@ -11,6 +11,7 @@ of the auxiliary chain.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import ceil
 
 import numpy as np
@@ -60,6 +61,15 @@ def computational_pauli_vector(bit: int) -> np.ndarray:
     return v
 
 
+def _chain_policy(policy: TruncationPolicy) -> TruncationPolicy:
+    """The folded chains' policy: ``svd_cutoff`` cuts amplitude, its square weight.
+
+    A folded value is linear in its chain, so a dropped relative weight w
+    moves it by up to sqrt(w): cutting at weight c^2 bounds that by c.
+    """
+    return replace(policy, svd_cutoff=policy.svd_cutoff**2)
+
+
 def _observable_letters(circuit: StabMpoCircuit, observable: PauliString):
     nu = transform_observable(circuit.residual, observable)
     return nu, float(nu.sign)
@@ -80,7 +90,7 @@ def vertical_fold_evolve(
     operator over its support window, capped by its folded coefficients (an
     identity layer: their sum |phi0 + phi1|^2 = 1); pairing the result with
     the pulled-back observable components reproduces the layer-evolved
-    expectation.
+    expectation.  The train is cut on amplitude (``_chain_policy``).
     """
     bits = basis_bits(bits)
     if len(bits) != circuit.n:
@@ -88,7 +98,7 @@ def vertical_fold_evolve(
     # |s><s| = sum_mu c_mu sigma^mu / 2: the train holds 2 c, so a component
     # times 2^n needs no factor outside the network
     y = Mps.from_site_vectors([2 * computational_pauli_vector(b) for b in bits])
-    res = Contraction()
+    res, policy = Contraction(), _chain_policy(policy)
 
     letters = letter_table([layer.gamma for layer in circuit.layers], circuit.n)
     for layer, row in zip(circuit.layers, letters):
@@ -129,6 +139,7 @@ def horizontal_contract(
     symmetric-bipartition entropy of the chain is recorded after every
     column; the final scalar matches the vertical contraction.  A column
     whose layer letters are all I is the scalar 2 v_bit[nu_j] (1, +-1 or 0).
+    The chain is cut on amplitude (``_chain_policy``).
     """
     if circuit.m == 0:
         value = vertical_fold_evolve(circuit, observable, bits, policy).value
@@ -137,6 +148,7 @@ def horizontal_contract(
     if len(bits) != circuit.n:
         raise ValueError("initial state length mismatch")
     nu, sign = _observable_letters(circuit, observable)
+    policy = _chain_policy(policy)  # after the m = 0 fold, which squares its own
 
     coeffs = (folded_coefficients(l.phi0, l.phi1) for l in circuit.layers)
     chain = Mps.from_site_vectors(coeffs)

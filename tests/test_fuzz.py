@@ -4,14 +4,15 @@ Each draw samples n <= 8 qubits, a brick wall with one rotation of random
 axis and angle per block and random initial bits.  Observables are
 O = C Z_j C^dag with C the compiled residual Clifford, so a wrong sign in a
 brick shows.  An untruncated draw (a random bond cap above every bond,
-``svd_cutoff`` 0) asks layer evolution, the vertical fold, the horizontal
-sweep and the gate-by-gate baseline for dense values.  A truncated draw (a
+the default ``svd_cutoff``) asks layer evolution, the vertical fold, the
+horizontal sweep and the gate-by-gate baseline for dense values.  A truncated draw (a
 random cap of 1 to 4 and a random ``svd_cutoff``, 0 included) asks each
 layer's discarded weight eps_k to bound that layer's 1 - F and
 (sum_k sqrt(eps_k))^2 to bound the final state's, for the layer track and
-the baseline.  An untruncated draw has no cutoff because the fold and the
-sweep are linear in their chains: a dropped weight eps moves their value
-by up to sqrt(eps), not eps.
+the baseline.  The fold and the sweep are linear in their chains, so a
+dropped weight eps moves their value by up to sqrt(eps): they cut their
+chains at weight ``svd_cutoff**2``, and the default cutoff holds them to
+dense as well.
 """
 
 from math import pi
@@ -110,7 +111,7 @@ def test_seeded_fuzz_against_dense(seed, monkeypatch):
             policy = TruncationPolicy(int(rng.integers(1, 5)), cutoff)
             cut = max(cut, check_truncated(blocks, compiled, bits, policy))
         else:
-            policy = TruncationPolicy(int(rng.integers(4**4, 4**5)), 0.0)
+            policy = TruncationPolicy(int(rng.integers(4**4, 4**5)))
             check_untruncated(blocks, compiled, bits, policy, rng)
     assert cut > 1e-6, "no truncated draw cut anything"
     assert True in splits and False in splits, "a split path was never taken"
