@@ -21,7 +21,7 @@ from math import cos, inf, isfinite, pi, sin
 
 import numpy as np
 
-from .clifford import CliffordCircuit, CliffordTableau, append_to_inverse
+from .clifford import CliffordCircuit, CliffordTableau, _naming_line, append_to_inverse
 from .mps import Mps, TruncationPolicy, diagonal_mpo, window_mpo
 from .pauli import ORACLE_CAP, SIGMA, PauliString, _index
 
@@ -111,24 +111,29 @@ class StabMpoCircuit:
 
     @classmethod
     def from_text(cls, text: str) -> "StabMpoCircuit":
-        lines = text.splitlines()
-        head = lines[0].split() if lines else []
-        if len(head) != 5 or (head[0], head[1], head[3]) != (
-            "stabmpo-circuit", "qubits", "layers"
-        ):
-            raise ValueError("not a stabmpo circuit file")
-        n, m = int(head[2]), int(head[4])
+        lines = text.splitlines() or [""]
+        head = lines[0].split()
+        with _naming_line("bad header", lines[0]):
+            if len(head) != 5 or (head[0], head[1], head[3]) != (
+                "stabmpo-circuit", "qubits", "layers"
+            ):
+                raise ValueError("not a stabmpo circuit file")
+            n, m = int(head[2]), int(head[4])
         layers = []
         i = 1
         while i < len(lines) and lines[i].startswith("LAYER"):
-            _, idx_s, sign_s, theta_s, body = lines[i].split()
-            if int(idx_s) != len(layers) + 1:
-                raise ValueError(f"layer {len(layers) + 1} is numbered {idx_s}")
-            if sign_s not in ("+", "-"):
-                raise ValueError(f"layer sign must be + or -, got {sign_s!r}")
-            sign = 1 if sign_s == "+" else -1
-            gamma = PauliString.from_literal(sign_s + body)
-            layers.append(StabMpoLayer(gamma, sign * float(theta_s)))
+            with _naming_line("bad layer line", lines[i]):
+                parts = lines[i].split()
+                if len(parts) != 5:
+                    raise ValueError("expected 'LAYER m sign theta letters'")
+                _, idx_s, sign_s, theta_s, body = parts
+                if int(idx_s) != len(layers) + 1:
+                    raise ValueError(f"layer {len(layers) + 1} is numbered {idx_s}")
+                if sign_s not in ("+", "-"):
+                    raise ValueError(f"layer sign must be + or -, got {sign_s!r}")
+                sign = 1 if sign_s == "+" else -1
+                gamma = PauliString.from_literal(sign_s + body)
+                layers.append(StabMpoLayer(gamma, sign * float(theta_s)))
             i += 1
         if len(layers) != m:
             raise ValueError("layer count mismatch in circuit file")

@@ -25,6 +25,7 @@ packed images, its gate sequence and its inverse's index.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
@@ -146,25 +147,38 @@ class CliffordCircuit:
         n = _header_count(lines[0] if lines else "")
         gates = []
         for ln in lines[1:]:
-            name, *args = ln.split()
-            ints = tuple(map(int, args))
-            if name.upper() == Brick.name:
-                if len(ints) != 3:
-                    raise ValueError(f"C2 expects an index and 2 qubits, got {ln!r}")
-                gates.append(Brick(ints[0], ints[1:]))
-            else:
-                gates.append(gate(name, *ints))
+            with _naming_line("bad gate line", ln):
+                name, *args = ln.split()
+                ints = tuple(map(int, args))
+                if name.upper() == Brick.name:
+                    if len(ints) != 3:
+                        raise ValueError("C2 expects an index and 2 qubits")
+                    g = Brick(ints[0], ints[1:])
+                else:
+                    g = Gate(name.upper(), ints)
+                _check_gate(g, n)
+            gates.append(g)
         return cls(n, tuple(gates))
+
+
+@contextmanager
+def _naming_line(what: str, line: str):
+    """Re-raise a ValueError from parsing one line of text with the line named."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{what} {line!r}: {exc}") from None
 
 
 def _header_count(line: str) -> int:
     """N of the 'qubits N' header that starts circuit and tableau text."""
     parts = line.split()
-    if len(parts) != 2 or parts[0] != "qubits":
-        raise ValueError(f"text must start with 'qubits N', got {line!r}")
-    n = int(parts[1])
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+    with _naming_line("bad header", line):
+        if len(parts) != 2 or parts[0] != "qubits":
+            raise ValueError("text must start with 'qubits N'")
+        n = int(parts[1])
+        if n < 1:
+            raise ValueError(f"qubit count must be >= 1, got {n}")
     return n
 
 
@@ -408,7 +422,8 @@ class CliffordTableau:
         images: dict[str, PauliString] = {}
         for ln in lines[1:]:
             head, _, lit = ln.partition("->")
-            images[head.strip()] = PauliString.from_literal(lit.strip())
+            with _naming_line("bad tableau row", ln):
+                images[head.strip()] = PauliString.from_literal(lit.strip())
         labels = [f"{k}{j}" for k in "XZ" for j in range(n)]
         if len(lines) != 2 * n + 1 or set(images) != set(labels):
             raise ValueError("tableau text needs one row for each of X0.. and Z0..")

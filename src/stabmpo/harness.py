@@ -501,6 +501,7 @@ _BOOL_WORDS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
 }
+_NUMBERS = {"int": (int, "an int"), "float": (float, "a float")}
 
 
 def config_from_sources(cls, file_values: dict, overrides: dict):
@@ -512,15 +513,18 @@ def config_from_sources(cls, file_values: dict, overrides: dict):
     for key, val in merged.items():
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        ftype = types[key]
+        ftype = getattr(types[key], "__name__", types[key])  # a type or its name
         if isinstance(val, str):
-            if ftype in ("int", int):
-                val = int(val)
-            elif ftype in ("float", float):
-                val = float(val)
-            elif ftype in ("bool", bool):
+            if ftype == "bool":
                 if val.lower() not in _BOOL_WORDS:
                     raise ValueError(f"config key {key!r} needs a boolean, got {val!r}")
                 val = _BOOL_WORDS[val.lower()]
+            elif ftype in _NUMBERS:
+                number, kind = _NUMBERS[ftype]
+                try:
+                    val = number(val)
+                except ValueError:
+                    msg = f"config key {key!r} needs {kind}, got {val!r}"
+                    raise ValueError(msg) from None
         kwargs[key] = val
     return cls(**kwargs)

@@ -1,6 +1,7 @@
 """Compilation into Pauli-rotation layers, checked against dense products."""
 
 import hashlib
+import re
 from math import cos, pi, sin
 
 import numpy as np
@@ -392,6 +393,22 @@ def test_circuit_from_text_rejects_bad_text(text):
     StabMpoCircuit.from_text(_GOOD_TEXT)
     with pytest.raises(ValueError):
         StabMpoCircuit.from_text(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("qubits 1", "qubits x", "bad header 'stabmpo-circuit qubits x layers 1'"),
+        ("+ 0.5 Z", "+ 0.5", "bad layer line 'LAYER 1 + 0.5'"),
+        ("0.5", "abc", "bad layer line 'LAYER 1 + abc Z'"),
+        ("LAYER 1 + 0.5 Z", "LAYER 1 + 0.5 Q", "bad layer line 'LAYER 1 + 0.5 Q'"),
+        ("X0 -> +X", "X0 -> +Q", "bad tableau row 'X0 -> +Q'"),
+    ],
+    ids=["header-count", "short-layer", "angle-word", "bad-letter", "tableau-row"],
+)
+def test_circuit_text_errors_name_the_offending_line(old, new, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StabMpoCircuit.from_text(_GOOD_TEXT.replace(old, new))
 
 
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])

@@ -46,6 +46,16 @@ def test_bad_boolean_in_config_exit_two(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_bad_number_in_config_exit_two_names_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=abc\n")
+    code = main(["tdoped", "--config", str(cfg), "--m", "1",
+                 "--realizations", "1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "config key 'n' needs an int, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_selftest_fails_under_optimize():
     # python -O strips assert statements; a broken reference must still fail
     script = (

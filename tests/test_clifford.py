@@ -10,6 +10,7 @@ circuit) with
 
 import hashlib
 import itertools
+import re
 import sys
 
 import numpy as np
@@ -188,6 +189,28 @@ def test_circuit_from_text_rejects_bad_qubit_count(text):
     CliffordCircuit.from_text("qubits 2\nH 0\n")
     with pytest.raises(ValueError):
         CliffordCircuit.from_text(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (CliffordCircuit.from_text, "qubits abc\nH 0\n", "bad header 'qubits abc'"),
+        (CliffordCircuit.from_text, "qubits 2\nH a\n", "bad gate line 'H a'"),
+        (CliffordCircuit.from_text, "qubits 2\nFOO 1\n", "bad gate line 'FOO 1'"),
+        (CliffordCircuit.from_text, "qubits 2\nH 5\n", "bad gate line 'H 5'"),
+        (CliffordCircuit.from_text, "qubits 3\nC2 7 0\n", "bad gate line 'C2 7 0'"),
+        (CliffordTableau.from_text, "qubits x\nX0 -> +X\n", "bad header 'qubits x'"),
+        (CliffordTableau.from_text, "qubits 1\nX0 ->\nZ0 -> +Z\n", "bad tableau row 'X0 ->'"),
+        (CliffordTableau.from_text, "qubits 1\nX0 -> +X\nZ0\n", "bad tableau row 'Z0'"),
+    ],
+    ids=[
+        "circuit-count", "qubit-word", "unknown-gate", "qubit-range", "brick-arity",
+        "tableau-count", "empty-image", "no-arrow",
+    ],
+)
+def test_text_errors_name_the_offending_line(parse, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse(text)
 
 
 def test_circuit_text_roundtrip_and_determinism():

@@ -1,5 +1,6 @@
 """Experiment drivers: analytic reference, twirl identities, reproducibility."""
 
+import re
 from math import cos, pi, sqrt
 
 import numpy as np
@@ -325,6 +326,19 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("bogus=1\n")
     with pytest.raises(ValueError):
         config_from_sources(FloquetConfig, parse_config_file(path), {})
+
+
+@pytest.mark.parametrize(
+    "cls, key, value, message",
+    [
+        (TDopedConfig, "n", "abc", "config key 'n' needs an int, got 'abc'"),
+        (TDopedConfig, "chi", "2.5", "config key 'chi' needs an int, got '2.5'"),
+        (FloquetConfig, "epsilon", "x", "config key 'epsilon' needs a float, got 'x'"),
+    ],
+)
+def test_config_errors_name_the_key(cls, key, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_sources(cls, {key: value}, {})
 
 
 def test_config_bool_parsing():
