@@ -62,7 +62,7 @@ def computational_pauli_vector(bit: int) -> np.ndarray:
 
 
 def _chain_policy(policy: TruncationPolicy) -> TruncationPolicy:
-    """The folded chains' policy: ``svd_cutoff`` cuts amplitude, its square weight.
+    """``policy`` with its cutoff squared: the folded chains are cut on amplitude.
 
     A folded value is linear in its chain, so a dropped relative weight w
     moves it by up to sqrt(w): cutting at weight c^2 bounds that by c.
@@ -95,8 +95,8 @@ def vertical_fold_evolve(
     bits = basis_bits(bits)
     if len(bits) != circuit.n:
         raise ValueError("initial state length mismatch")
-    # |s><s| = sum_mu c_mu sigma^mu / 2: the train holds 2 c, so a component
-    # times 2^n needs no factor outside the network
+    # sites 2 v_bit: the selected component is the value itself, with no
+    # factor 2^n, which is no float from n = 1024 on
     y = Mps.from_site_vectors([2 * computational_pauli_vector(b) for b in bits])
     res, policy = Contraction(), _chain_policy(policy)
 

@@ -87,13 +87,6 @@ def test_s_factor_examples():
     assert row_blocks(3)[3, 1, 1] == -1.0  # ZXZ = -X
 
 
-def test_identity_block_and_columns_are_the_rows():
-    for g in range(4):
-        assert np.array_equal(row_blocks(g)[0], np.eye(4))
-        column = temporal._FOLDED_ROWS[g].transpose(2, 0, 3, 1)
-        assert np.array_equal(temporal._FOLDED_COLUMNS[g], column)
-
-
 # ----------------------------------------------------------------------
 # folded site tensors: the rows weighted by a layer's folded coefficients
 # ----------------------------------------------------------------------
