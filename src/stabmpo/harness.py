@@ -93,9 +93,12 @@ class TDopedConfig:
     def observable_pauli(self) -> PauliString:
         if not self.observable:
             return PauliString.single(self.n, self.n // 2, 3)
-        p = PauliString.from_literal(self.observable)
+        try:
+            p = PauliString.from_literal(self.observable)
+        except ValueError as exc:
+            raise ValueError(f"observable: {exc}") from None
         if p.n != self.n:
-            raise ValueError("observable length does not match n")
+            raise ValueError(f"observable {self.observable!r} has {p.n} letters, n is {self.n}")
         return p
 
     def sample_blocks(self, rng: np.random.Generator):

@@ -19,6 +19,7 @@ below ``ZERO_NORM_THRESHOLD``: 1e-12 of the norm before the step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf
 
 import numpy as np
@@ -170,16 +171,19 @@ class Mps:
     # canonical form
     # ------------------------------------------------------------------
     def _orth_left(self, tensors: list[np.ndarray], i: int) -> None:
+        """Site i left-isometric, the rest carried into i + 1; a split that is not
+        tall is a gauge step with no QR, as in ``_sweep``: the site is δ(l·d + s, r)."""
         dl, d, dr = tensors[i].shape
-        q, r = np.linalg.qr(tensors[i].reshape(dl * d, dr))
+        t = tensors[i].reshape(dl * d, dr)
+        q, r = (_eye(dl * d), t) if dl * d <= dr else np.linalg.qr(t)
         tensors[i] = q.reshape(dl, d, -1)
         tensors[i + 1] = _absorb_left(r, tensors[i + 1])
 
     def _orth_right(self, tensors: list[np.ndarray], i: int) -> None:
-        dl, d, dr = tensors[i].shape
-        q, r = np.linalg.qr(tensors[i].reshape(dl, d * dr).conj().T)
-        tensors[i] = q.conj().T.reshape(-1, d, dr)
-        tensors[i - 1] = _absorb_right(tensors[i - 1], r.conj().T)
+        """``_orth_left`` mirrored (bonds swapped): a gauge step leaves δ(l, r·d + s)."""
+        pair = [tensors[i].transpose(2, 1, 0), tensors[i - 1].transpose(2, 1, 0)]
+        self._orth_left(pair, 0)
+        tensors[i], tensors[i - 1] = (t.transpose(2, 1, 0) for t in pair)
 
     def move_center(self, target: int) -> "Mps":
         """Return a copy with the orthogonality center at ``target``."""
@@ -230,9 +234,11 @@ class Mps:
         operator there is W L = L <L|W|L> and cannot grow the bond.  With i_r
         the first right-full cut in (lo, hi] or hi + 1, the center moves to
         min(max(center, lo), i_r - 1); i_l is the last left-full cut in
-        (lo, center] or lo.  The sites left of i_l and from i_r on keep their
-        tensors, their operator folded into <L|W|L> and <R|W|R> on the core
-        [i_l, i_r - 1].  Only the core is swept, and i_r - 1 ends as center.
+        (lo, center] or lo.  The flanks left of i_l and from i_r on keep their
+        tensors, never merged: ``_flank_env`` walks each into <L|W|L> (<R|W|R>),
+        from W alone on the identity gauge; ``_fold`` takes it, with W, into the
+        boundary site of the core [i_l, i_r - 1], whose inner sites are merged
+        with W.  Only the core is swept, and i_r - 1 ends as center.
         A scalar s (``window_mpo`` with no window) puts its phase on the
         center and log|s| into ``log_norm``; |s| < ``ZERO_NORM_THRESHOLD`` is
         multiplied in whole and marks the state zero.  Returns the state and
@@ -257,21 +263,25 @@ class Mps:
         i_l = max(lo, min(left, center))
         kept = self.move_center(center).tensors
         tensors = list(kept)
-        for j in sites:  # (wl, o, wr | i) . (i | bl, br), then (wl bl, o, wr br)
+        first, last = i_l + (i_l > lo), i_r - 1 - (i_r <= hi)  # the core inside its folds
+        for j in (j for j in sites if first <= j <= last):
             (wl, o, i, wr), (bl, _, br) = ops[j].shape, tensors[j].shape
-            op = ops[j].transpose(0, 1, 3, 2).reshape(-1, i)
+            op = ops[j].transpose(0, 1, 3, 2).reshape(-1, i)  # (wl, o, wr | i) . (i | bl, br)
             merged = np.dot(op, tensors[j].transpose(1, 0, 2).reshape(i, -1))
             merged = merged.reshape(wl, o, wr, bl, br).transpose(0, 3, 1, 2, 4)
             tensors[j] = merged.reshape(wl * bl, o, wr * br)
         if i_l > lo:
-            env = _flank_env(tensors[lo:i_l], kept[lo:i_l])
-            tensors[lo:i_l] = kept[lo:i_l]
-            tensors[i_l] = _absorb_left(env, tensors[i_l])
-        if i_r <= hi:  # the right flank walked as a mirrored left one
-            flank = [t.transpose(2, 1, 0) for t in tensors[hi : i_r - 1 : -1]]
-            env = _flank_env(flank, [t.transpose(2, 1, 0) for t in kept[hi : i_r - 1 : -1]])
-            tensors[i_r : hi + 1] = kept[i_r : hi + 1]
-            tensors[i_r - 1] = _absorb_right(tensors[i_r - 1], env.T)
+            flank = [_site_op(ops[j], kept[j]) for j in range(lo, i_l + 1)]
+            tensors[i_l] = _fold(_flank_env(flank[:-1], kept[lo:i_l]), kept[i_l], flank[-1])
+        if i_r <= hi:  # the right flank and i_r - 1 mirrored: bonds swapped
+            span = range(hi, i_r - 2, -1)
+            flank = [_site_op(ops[j], kept[j]).transpose(3, 1, 2, 0) for j in span]
+            mirrored = [kept[j].transpose(2, 1, 0) for j in span]
+            env = _flank_env(flank[:-1], mirrored[:-1])
+            if i_r - 1 == i_l > lo:  # a one-site core with both flanks: (v b') -> a
+                tensors[i_l] = _absorb_right(tensors[i_l], env.T.reshape(-1, len(env)))
+            else:
+                tensors[i_r - 1] = _fold(env, mirrored[-1], flank[-1]).transpose(2, 1, 0)
         return self._sweep(tensors, i_l, i_r - 1, policy)
 
     # ------------------------------------------------------------------
@@ -317,7 +327,7 @@ class Mps:
             rho = np.dot(te, t.conj().T)
             if _keeps_every_weight(rho, policy):  # a gauge step: the site is Q or I
                 k, carry = len(rho), t
-                site = np.eye(k, dtype=t.dtype) if q is None else q
+                site = _eye(k) if q is None else q
             else:
                 w, v = np.linalg.eigh(rho)
                 k, err = _truncate_spectrum(np.clip(w[::-1], 0.0, None), policy)
@@ -459,14 +469,41 @@ def _full_cuts(tensors, chi_max: int) -> tuple[int, int]:
     return left, right
 
 
-def _flank_env(merged, kept) -> np.ndarray:
-    """<L|W|L> over a flank from its outer cut, as the (bond, operator bond x
-    bond) matrix F <- sum_o A_o^dag (F M)_o: A a kept site, M it merged with W."""
-    env = np.eye(kept[0].shape[0])
-    for m, a in zip(merged, kept):
-        fm = np.dot(env, m.reshape(m.shape[0], -1)).reshape(-1, m.shape[2])
-        env = np.dot(a.reshape(-1, a.shape[2]).conj().T, fm)
+def _flank_env(ops, kept) -> np.ndarray:
+    """<L|W|L> over a flank from its outer cut, as F[a, b, w].  An identity-gauge
+    site (``_eye``) adds W alone, F'[(a o), (b i), v] = sum_w F[a, b, w] W[w, o, i, v];
+    any other site A takes the general step A^dag F' A over (a o) and (b i)."""
+    env = np.eye(kept[0].shape[0])[:, :, None]
+    for w, a in zip(ops, kept):
+        (chi, _, wl), (_, o, i, v) = env.shape, w.shape
+        f = np.dot(env.reshape(-1, wl), w.reshape(wl, -1)).reshape(chi, chi, o, i, v)
+        f = f.transpose(0, 2, 1, 3, 4)  # (a, o, b, i, v)
+        if a.base is _eye(a.shape[2]):
+            env = f.reshape(chi * o, chi * i, v)
+        else:
+            f = np.tensordot(a.conj(), f, axes=([0, 1], [0, 1]))
+            env = np.tensordot(f, a, axes=([1, 2], [0, 1])).transpose(0, 2, 1)
     return env
+
+
+def _fold(env, a, w) -> np.ndarray:
+    """A boundary site A, (F A) over the bond, then W over (w, i): (a, o, (v b'))."""
+    (chi, b, wl), (_, i, br), (_, o, _, v) = env.shape, a.shape, w.shape
+    x = np.dot(env.transpose(0, 2, 1).reshape(-1, b), a.reshape(b, -1))  # (a w, i b')
+    ops = w.transpose(1, 3, 0, 2).reshape(o * v, wl * i)
+    return np.matmul(ops, x.reshape(chi, wl * i, br)).reshape(chi, o, v * br)
+
+
+def _site_op(op, t: np.ndarray) -> np.ndarray:  # an idle site (None): the identity
+    return np.eye(t.shape[1])[None, :, :, None] if op is None else op
+
+
+@lru_cache(maxsize=32)  # bounded: a site of an evicted size takes the general step
+def _eye(k: int) -> np.ndarray:
+    """The read-only identity that gauge steps share: a view of it (``.base``) is δ."""
+    eye = np.eye(k, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
 
 
 def _gram_walk(sites) -> tuple[list[np.ndarray], np.ndarray]:
@@ -554,12 +591,12 @@ def diagonal_mpo(mats) -> np.ndarray:
 def cap_mpo(ops, left, right) -> list[np.ndarray]:
     """Close an operator chain: ``left`` into the first bond, ``right`` into the last.
 
-    With one site both caps land on the same tensor.  List entries are
-    replaced, never written into, so shared operator tables stay intact.
+    One ``np.dot`` per cap; with one site both caps land on the same tensor.
+    List entries are replaced, never written into, so shared tables stay intact.
     """
     ops = list(ops)
-    ops[0] = np.tensordot(left, ops[0], axes=(0, 0))[None, ...]
-    ops[-1] = np.tensordot(ops[-1], right, axes=(3, 0))[..., None]
+    ops[0] = np.dot(left, ops[0].reshape(len(left), -1)).reshape(1, *ops[0].shape[1:])
+    ops[-1] = np.dot(ops[-1].reshape(-1, len(right)), right).reshape(*ops[-1].shape[:3], 1)
     return ops
 
 

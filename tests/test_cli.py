@@ -56,6 +56,24 @@ def test_bad_number_in_config_exit_two_names_key(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "literal, message",
+    [("XQZI", "observable: bad Pauli literal: 'XQZI'"), ("XZI", "observable 'XZI' has 3 letters")],
+)
+def test_bad_observable_exit_two_names_key(tmp_path, capsys, source, literal, message):
+    args = ["tdoped", "--n", "4", "--m", "1", "--realizations", "1", "--out", str(tmp_path / "x")]
+    if source == "flag":
+        args += ["--observable", literal]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"observable={literal}\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_selftest_fails_under_optimize():
     # python -O strips assert statements; a broken reference must still fail
     script = (

@@ -183,6 +183,21 @@ def test_tdoped_observable_parsing():
         TDopedConfig(n=0).validate()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "literal, message",
+    [("XQZI", "observable: bad Pauli literal: 'XQZI'"), ("XZI", "observable 'XZI' has 3 letters, n is 4")],
+)
+def test_observable_errors_name_the_key(source, literal, message):
+    # a flag arrives as a typed override, a config-file value as text
+    if source == "flag":
+        cfg = config_from_sources(TDopedConfig, {}, {"n": 4, "observable": literal})
+    else:
+        cfg = config_from_sources(TDopedConfig, {"n": "4", "observable": literal}, {})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cfg.validate()
+
+
 # ----------------------------------------------------------------------
 # Floquet driver
 # ----------------------------------------------------------------------

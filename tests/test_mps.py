@@ -641,7 +641,7 @@ def window_operator(rng, kind: str, n: int, lo: int, hi: int) -> list:
 
 def dense_apply(ops, state: Mps) -> np.ndarray:
     """The operator chain applied to the dense vector, one site at a time."""
-    x = state.to_dense(cap=14).reshape(1, *state.phys_dims)  # (bond, sites...)
+    x = state.to_dense(cap=16).reshape(1, *state.phys_dims)  # (bond, sites...)
     for op, d in zip(ops, state.phys_dims):
         op = np.eye(d)[None, :, :, None] if op is None else op
         x = np.moveaxis(np.tensordot(op, x, axes=([0, 2], [0, 1])), 0, -1)
@@ -698,6 +698,128 @@ def test_sweep_matches_dense_at_every_window_and_center(kind):
                     out, err = state.apply_mpo(ops, TruncationPolicy(chi_max=chi))
                     assert all(out.bond_dims[b] <= chi for b in swept)
                     assert err >= 1.0 - fidelity(out.to_dense(14), want) - 1e-12
+
+
+# ----------------------------------------------------------------------
+# the identity gauge of full regions and the operator-only flank fold
+# ----------------------------------------------------------------------
+def is_delta(t: np.ndarray, side: str) -> bool:
+    """t is exactly the identity gauge: δ(l·d + s, r) left, δ(l, r·d + s) right."""
+    dl, d, dr = t.shape
+    if side == "left":
+        return dl * d == dr and np.array_equal(t.reshape(dr, dr), np.eye(dr))
+    return d * dr == dl and np.array_equal(t.transpose(0, 2, 1).reshape(dl, dl), np.eye(dl))
+
+
+def assert_identity_gauge(m: Mps) -> None:
+    """Every square site on the isometric side of the center is exactly δ."""
+    for j, (dl, d, dr) in enumerate(t.shape for t in m.tensors):
+        if j < m.center and dl * d == dr:
+            assert is_delta(m.tensors[j], "left"), j
+        if j > m.center and d * dr == dl:
+            assert is_delta(m.tensors[j], "right"), j
+
+
+def full_network(rng, n: int, d: int, chi: int | None = None) -> list:
+    """Random raw tensors with bonds min(chi, d^i, d^(n-i)); full at every cut
+    when chi is None."""
+    bonds = [min(chi or d**n, d**i, d ** (n - i)) for i in range(n + 1)]
+    shapes = [(bl, d, br) for bl, br in zip(bonds, bonds[1:])]
+    return [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+
+
+def hand_canonical(tensors: list, center: int) -> Mps:
+    """The network canonical at ``center`` by numpy QR alone, so its square
+    isometric sites are random unitaries, not the identity gauge."""
+    ts, n = list(tensors), len(tensors)
+    for i in range(center):
+        q, r = np.linalg.qr(ts[i].reshape(-1, ts[i].shape[2]))
+        ts[i], ts[i + 1] = q.reshape(ts[i].shape), np.tensordot(r, ts[i + 1], axes=(1, 0))
+    for i in range(n - 1, center, -1):
+        q, r = np.linalg.qr(ts[i].reshape(ts[i].shape[0], -1).T)
+        ts[i], ts[i - 1] = q.T.reshape(ts[i].shape), np.tensordot(ts[i - 1], r.T, axes=(2, 0))
+    return Mps(ts, center=center)
+
+
+@pytest.mark.parametrize("kind", ["layer", "row", "column", "brick"])
+def test_flank_sites_off_the_identity_gauge_take_the_general_step(kind):
+    # every window from every center of one state, full at every cut and built
+    # canonical by hand: the sites that apply_mpo's center move does not pass
+    # keep their random unitaries, and the flank walk folds them by the
+    # general step
+    rng = np.random.default_rng({"layer": 101, "row": 102, "column": 103, "brick": 104}[kind])
+    n, d = 8, 2 if kind in ("layer", "brick") else 4
+    tensors = full_network(rng, n, d)
+    states = [hand_canonical(tensors, center) for center in range(n)]
+    ref = np.linalg.norm(network_dense(tensors))
+    exact = TruncationPolicy(chi_max=d**n)
+    general = 0
+    for lo in range(n):
+        for hi in range(lo, n):
+            want = np.zeros(1)
+            while np.linalg.norm(want) < 1e-9 * ref:  # a column can annihilate it
+                ops = window_operator(rng, kind, n, lo, hi)
+                want = dense_apply(ops, states[0])
+            for state in states:
+                if not general:  # the flank sites apply_mpo walks
+                    i_l, last = documented_core(state, lo, hi, exact.chi_max)
+                    kept = state.move_center(min(max(state.center, lo), last)).tensors
+                    general += sum(not is_delta(kept[j], "left") for j in range(lo, i_l))
+                    general += sum(not is_delta(kept[j], "right") for j in range(last + 1, hi + 1))
+                out, err = state.apply_mpo(ops, exact)
+                assert err < 1e-12
+                assert np.linalg.norm(out.to_dense(16) - want) <= 1e-12 * np.linalg.norm(want)
+    assert general > 0, "no flank site took the general step"
+
+
+@pytest.mark.parametrize("kind", ["layer", "row", "column"])
+def test_identity_gauge_is_an_invariant(kind):
+    # every square isometric site is exactly δ after Mps(tensors), center moves
+    # both ways and apply_mpo, and no gauge step moves the state
+    rng = np.random.default_rng({"layer": 105, "row": 106, "column": 107}[kind])
+    n, d = 8, 2 if kind == "layer" else 4
+    tensors = full_network(rng, n, d)
+    m = Mps(tensors)
+    want = network_dense(tensors)
+    ref = np.linalg.norm(want)
+    assert m.center == 0
+    assert_identity_gauge(m)
+    assert np.linalg.norm(m.to_dense(16) - want) <= 1e-13 * ref
+    for target in (n - 1, 2, 5, 0, 3):
+        m = m.move_center(target)
+        assert m.center == target
+        assert_identity_gauge(m)
+        assert np.linalg.norm(m.to_dense(16) - want) <= 1e-13 * ref
+    exact = TruncationPolicy(chi_max=d**n)
+    for lo, hi in ((0, n - 1), (1, 6), (2, 2), (5, 7), (0, 3)):
+        ops = window_operator(rng, kind, n, lo, hi)
+        want = dense_apply(ops, m)
+        m, _ = m.apply_mpo(ops, exact)
+        assert_identity_gauge(m)
+        assert np.linalg.norm(m.to_dense(16) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["layer", "brick"])
+def test_one_site_core_and_idle_boundary_core_site_match_dense(kind):
+    # full at every cut, the window [1, 6] sweeps the one-site core [3, 3]
+    # with both flanks; with bonds capped at 8 (full cuts 1-3 and 5-7), the
+    # window [1, 7] from a center >= 3 sweeps [3, 4]; a brick window puts its
+    # idle sites at 3 and 6, so site 3 is an idle boundary site of both cores
+    rng = np.random.default_rng({"layer": 108, "brick": 109}[kind])
+    exact = TruncationPolicy(chi_max=2**8)
+    for chi, (lo, hi), core in ((None, (1, 6), (3, 3)), (8, (1, 7), (3, 4))):
+        state = Mps(full_network(rng, 8, 2, chi))
+        ops = window_operator(rng, kind, 8, lo, hi)
+        if kind == "brick":
+            assert ops[3] is None
+        want = dense_apply(ops, state)
+        for center in range(3, 8):
+            before = state.move_center(center)
+            assert documented_core(before, lo, hi, exact.chi_max) == core
+            out, err = before.apply_mpo(ops, exact)
+            assert err < 1e-12 and out.center == core[1]
+            assert_identity_gauge(out)
+            assert np.linalg.norm(out.to_dense(16) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_from_site_vectors_moves_the_scale_into_log_norm():
