@@ -601,11 +601,17 @@ def test_full_size_cut_above_chi_max_is_still_cut():
 # ----------------------------------------------------------------------
 # the compression sweep on the three operator kinds of apply_mpo
 # ----------------------------------------------------------------------
+def full_network(rng, n: int, d: int, chi: int | None = None) -> list:
+    """Random raw tensors with bonds min(chi, d^i, d^(n-i)); full at every cut
+    when chi is None."""
+    bonds = [min(chi or d**n, d**i, d ** (n - i)) for i in range(n + 1)]
+    shapes = [(bl, d, br) for bl, br in zip(bonds, bonds[1:])]
+    return [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+
+
 def random_chain(rng, n: int, d: int, chi: int) -> Mps:
     """Generic unnormalized state, physical dimension d, bonds min(chi, d^k)."""
-    bonds = [min(chi, d**i, d ** (n - i)) for i in range(n + 1)]
-    shapes = [(bl, d, br) for bl, br in zip(bonds, bonds[1:])]
-    return Mps([rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes])
+    return Mps(full_network(rng, n, d, chi))
 
 
 def window_operator(rng, kind: str, n: int, lo: int, hi: int) -> list:
@@ -718,14 +724,6 @@ def assert_identity_gauge(m: Mps) -> None:
             assert is_delta(m.tensors[j], "left"), j
         if j > m.center and d * dr == dl:
             assert is_delta(m.tensors[j], "right"), j
-
-
-def full_network(rng, n: int, d: int, chi: int | None = None) -> list:
-    """Random raw tensors with bonds min(chi, d^i, d^(n-i)); full at every cut
-    when chi is None."""
-    bonds = [min(chi or d**n, d**i, d ** (n - i)) for i in range(n + 1)]
-    shapes = [(bl, d, br) for bl, br in zip(bonds, bonds[1:])]
-    return [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
 
 
 def hand_canonical(tensors: list, center: int) -> Mps:
