@@ -4,11 +4,14 @@ Site tensors are order-3 arrays (left bond, physical, right bond) with
 boundary bonds of size 1.  The physical dimension defaults to 2 but is
 per-site, since the folded transfer-network reuses the same machinery
 with four-dimensional sites.  Operations return new objects; tensors are
-shared where untouched and treated as immutable by convention.  Every
-state has an orthogonality center ``center``: sites left of it are left-
-and sites right of it right-isometric.  Operations keep that and use it to
-touch only the sites between it and their own span; a network given
-without a center is brought to right-canonical form, center 0, once.
+shared where untouched and treated as immutable by convention.
+
+One canonical form, which every state has by construction: sites left of
+the orthogonality center ``center`` are left- and sites right of it
+right-isometric, and every square isometric site is exactly the identity
+gauge δ.  ``Mps(tensors)`` brings any network to it, center 0, by one QR
+sweep; every step keeps it and uses it to touch only the sites between the
+center and its own span.
 
 One scale rule: every state the library builds is a unit-norm network
 times exp(log_norm).  Each step divides its result by that result's norm
@@ -101,30 +104,30 @@ def _keeps_every_weight(rho: np.ndarray, policy: TruncationPolicy) -> bool:
 
 
 class Mps:
-    """Matrix product state with bond cap and truncation bookkeeping."""
+    """Matrix product state in the one canonical form (module docstring)."""
 
     def __init__(
-        self,
-        tensors: list[np.ndarray],
-        log_norm: float = 0.0,
-        center: int | None = None,
-        is_zero: bool = False,
+        self, tensors: list[np.ndarray], log_norm: float = 0.0, is_zero: bool = False
     ) -> None:
+        tensors = list(tensors)
         if not tensors:
             raise ValueError("empty tensor list")
-        self.tensors = list(tensors)
-        self.log_norm = float(log_norm)
-        self.is_zero = bool(is_zero)
-        if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[2] != 1:
+        if tensors[0].shape[0] != 1 or tensors[-1].shape[2] != 1:
             raise ValueError("boundary bonds must have dimension 1")
-        for a, b in zip(self.tensors, self.tensors[1:]):
+        for a, b in zip(tensors, tensors[1:]):
             if a.shape[2] != b.shape[0]:
                 raise ValueError("mismatched bond dimensions")
-        if center is None:  # an unknown gauge: one QR sweep from the right
-            for i in range(self.n - 1, 0, -1):
-                self._orth_right(self.tensors, i)
-            center = 0
-        self.center = _index(center, 0, self.n - 1, "center")
+        for i in range(len(tensors) - 1, 0, -1):
+            _orth_right(tensors, i)
+        self.tensors, self.log_norm, self.center = tensors, float(log_norm), 0
+        self.is_zero = bool(is_zero)
+
+    @classmethod
+    def _canonical(cls, tensors, log_norm, center: int, is_zero) -> "Mps":
+        """Every step's result: tensors already canonical at ``center``, unchecked."""
+        m = cls.__new__(cls)
+        m.tensors, m.log_norm, m.center, m.is_zero = tensors, float(log_norm), center, is_zero
+        return m
 
     # ------------------------------------------------------------------
     # construction
@@ -140,13 +143,14 @@ class Mps:
 
         Unit sites are canonical at every site, so the center is 0 with no
         QR.  ``log_norm`` starts at the sum of the norms' logs; a zero vector
-        gives a zero state, canonicalized like any network without a center.
+        gives a zero state, canonicalized like any network.
         """
         tensors = [np.asarray(v, dtype=np.complex128).reshape(1, -1, 1) for v in vectors]
         norms = np.sqrt([np.vdot(t, t).real for t in tensors])
         if not np.all(norms):
             return cls(tensors, is_zero=True)
-        return cls([t / nrm for t, nrm in zip(tensors, norms)], np.sum(np.log(norms)), 0)
+        units = [t / nrm for t, nrm in zip(tensors, norms)]
+        return cls._canonical(units, np.sum(np.log(norms)), 0, False)
 
     # ------------------------------------------------------------------
     # descriptors
@@ -170,45 +174,31 @@ class Mps:
     # ------------------------------------------------------------------
     # canonical form
     # ------------------------------------------------------------------
-    def _orth_left(self, tensors: list[np.ndarray], i: int) -> None:
-        """Site i left-isometric, the rest carried into i + 1; a split that is not
-        tall is a gauge step with no QR, as in ``_sweep``: the site is δ(l·d + s, r)."""
-        dl, d, dr = tensors[i].shape
-        t = tensors[i].reshape(dl * d, dr)
-        q, r = (_eye(dl * d), t) if dl * d <= dr else np.linalg.qr(t)
-        tensors[i] = q.reshape(dl, d, -1)
-        tensors[i + 1] = _absorb_left(r, tensors[i + 1])
-
-    def _orth_right(self, tensors: list[np.ndarray], i: int) -> None:
-        """``_orth_left`` mirrored (bonds swapped): a gauge step leaves δ(l, r·d + s)."""
-        pair = [tensors[i].transpose(2, 1, 0), tensors[i - 1].transpose(2, 1, 0)]
-        self._orth_left(pair, 0)
-        tensors[i], tensors[i - 1] = (t.transpose(2, 1, 0) for t in pair)
-
     def move_center(self, target: int) -> "Mps":
         """Return a copy with the orthogonality center at ``target``."""
         target = _index(target, 0, self.n - 1, "center")
         tensors = list(self.tensors)
         for i in range(self.center, target):
-            self._orth_left(tensors, i)
+            _orth_left(tensors, i)
         for i in range(self.center, target, -1):
-            self._orth_right(tensors, i)
-        return Mps(tensors, self.log_norm, target, self.is_zero)
+            _orth_right(tensors, i)
+        return Mps._canonical(tensors, self.log_norm, target, self.is_zero)
 
     # ------------------------------------------------------------------
     # local operations
     # ------------------------------------------------------------------
     def apply_1q_gate(self, u: np.ndarray, site: int) -> "Mps":
+        """Apply a 2x2 unitary on ``site`` as a bond-1 ``apply_mpo`` window;
+        the center ends at ``site``."""
         site = _index(site, 0, self.n - 1, "gate site")
         u = np.asarray(u, dtype=np.complex128)
         if u.shape != (2, 2):
             raise ValueError("1q gate must be 2x2")
         if not _is_unitary(u):
             raise ValueError("gate is not unitary to 1e-10")
-        new = np.tensordot(u, self.tensors[site], axes=(1, 1)).transpose(1, 0, 2)
-        tensors = list(self.tensors)
-        tensors[site] = np.ascontiguousarray(new)
-        return Mps(tensors, self.log_norm, self.center, self.is_zero)
+        ops = [None] * self.n
+        ops[site] = u[None, :, :, None]
+        return self.apply_mpo(ops, TruncationPolicy(1))[0]  # one site: no cut to sweep
 
     def apply_2q_gate(
         self, u: np.ndarray, site: int, policy: TruncationPolicy
@@ -235,8 +225,8 @@ class Mps:
         the first right-full cut in (lo, hi] or hi + 1, the center moves to
         min(max(center, lo), i_r - 1); i_l is the last left-full cut in
         (lo, center] or lo.  The flanks left of i_l and from i_r on keep their
-        tensors, never merged: ``_flank_env`` walks each into <L|W|L> (<R|W|R>),
-        from W alone on the identity gauge; ``_fold`` takes it, with W, into the
+        tensors, never merged: ``_flank_env`` walks each into <L|W|L> (<R|W|R>)
+        from W alone, since its sites are δ; ``_fold`` takes it, with W, into the
         boundary site of the core [i_l, i_r - 1], whose inner sites are merged
         with W.  Only the core is swept, and i_r - 1 ends as center.
         A scalar s (``window_mpo`` with no window) puts its phase on the
@@ -248,9 +238,9 @@ class Mps:
             tensors, c, scale = list(self.tensors), self.center, abs(ops)
             if scale < ZERO_NORM_THRESHOLD:
                 tensors[c] = tensors[c] * ops
-                return Mps(tensors, self.log_norm, self.center, True), 0.0
+                return Mps._canonical(tensors, self.log_norm, c, True), 0.0
             tensors[c] = tensors[c] * (ops / scale)
-            return Mps(tensors, self.log_norm + np.log(scale), self.center, self.is_zero), 0.0
+            return Mps._canonical(tensors, self.log_norm + np.log(scale), c, self.is_zero), 0.0
         if len(ops) != self.n:
             raise ValueError("operator length does not match the state")
         sites = [j for j, op in enumerate(ops) if op is not None]
@@ -261,8 +251,7 @@ class Mps:
         i_r = min(max(right, lo + 1), hi + 1)
         center = min(max(self.center, lo), i_r - 1)
         i_l = max(lo, min(left, center))
-        kept = self.move_center(center).tensors
-        tensors = list(kept)
+        tensors = self.move_center(center).tensors  # a fresh list
         first, last = i_l + (i_l > lo), i_r - 1 - (i_r <= hi)  # the core inside its folds
         for j in (j for j in sites if first <= j <= last):
             (wl, o, i, wr), (bl, _, br) = ops[j].shape, tensors[j].shape
@@ -270,18 +259,19 @@ class Mps:
             merged = np.dot(op, tensors[j].transpose(1, 0, 2).reshape(i, -1))
             merged = merged.reshape(wl, o, wr, bl, br).transpose(0, 3, 1, 2, 4)
             tensors[j] = merged.reshape(wl * bl, o, wr * br)
-        if i_l > lo:
-            flank = [_site_op(ops[j], kept[j]) for j in range(lo, i_l + 1)]
-            tensors[i_l] = _fold(_flank_env(flank[:-1], kept[lo:i_l]), kept[i_l], flank[-1])
+        if i_l > lo:  # the core's boundary sites are not merged
+            flank = [_site_op(ops[j], tensors[j]) for j in range(lo, i_l + 1)]
+            env = _flank_env(flank[:-1], tensors[lo].shape[0])
+            tensors[i_l] = _fold(env, tensors[i_l], flank[-1])
         if i_r <= hi:  # the right flank and i_r - 1 mirrored: bonds swapped
             span = range(hi, i_r - 2, -1)
-            flank = [_site_op(ops[j], kept[j]).transpose(3, 1, 2, 0) for j in span]
-            mirrored = [kept[j].transpose(2, 1, 0) for j in span]
-            env = _flank_env(flank[:-1], mirrored[:-1])
+            flank = [_site_op(ops[j], tensors[j]).transpose(3, 1, 2, 0) for j in span]
+            env = _flank_env(flank[:-1], tensors[hi].shape[2])
             if i_r - 1 == i_l > lo:  # a one-site core with both flanks: (v b') -> a
                 tensors[i_l] = _absorb_right(tensors[i_l], env.T.reshape(-1, len(env)))
             else:
-                tensors[i_r - 1] = _fold(env, mirrored[-1], flank[-1]).transpose(2, 1, 0)
+                boundary = tensors[i_r - 1].transpose(2, 1, 0)
+                tensors[i_r - 1] = _fold(env, boundary, flank[-1]).transpose(2, 1, 0)
         return self._sweep(tensors, i_l, i_r - 1, policy)
 
     # ------------------------------------------------------------------
@@ -297,9 +287,10 @@ class Mps:
         (None: identity).  Left to right, T (dl·d × dr), or R of T = QR if
         tall, splits by ρ = T E T† (R E R†).  The sites left of i are
         orthonormal, so ρ's eigenvalues are the squared Schmidt values, to
-        about 1e-16·tr ρ (below the default cutoff).  Where the policy would
-        keep all of them (``_keeps_every_weight``) the split is a gauge step:
-        the identity (Q) is the site and T (R) the carry, at no loss.
+        about 1e-16·tr ρ (below the default cutoff).  Where the policy keeps
+        all of them, certified by ``_keeps_every_weight`` or found by
+        ``eigh``, the split is a gauge step: the shared identity (Q) is the
+        site and T (R) the carry, exact since U U† = I.
         Otherwise the top k eigenvectors U_k make the site (Q U_k); the carry
         U_k† T (U_k† R) is the exact projection, so the summed discarded
         weight returned is the loss of this sweep.  The center ``hi`` ends
@@ -325,13 +316,14 @@ class Mps:
             env = envs.get(i + 1)
             te = t if env is None else np.dot(t, env)
             rho = np.dot(te, t.conj().T)
-            if _keeps_every_weight(rho, policy):  # a gauge step: the site is Q or I
-                k, carry = len(rho), t
-                site = _eye(k) if q is None else q
-            else:
+            k = len(rho)
+            if not _keeps_every_weight(rho, policy):
                 w, v = np.linalg.eigh(rho)
                 k, err = _truncate_spectrum(np.clip(w[::-1], 0.0, None), policy)
                 total_err += err
+            if k == len(rho):  # a gauge step: the site is Q or I
+                site, carry = (_eye(k) if q is None else q), t
+            else:
                 u = v[:, ::-1][:, :k]
                 site = u if q is None else np.dot(q, u)
                 carry = np.dot(u.conj().T, t)
@@ -341,9 +333,9 @@ class Mps:
 
         nrm = float(np.linalg.norm(tensors[hi]))
         if nrm < ZERO_NORM_THRESHOLD:
-            return Mps(tensors, self.log_norm, hi, True), total_err
+            return Mps._canonical(tensors, self.log_norm, hi, True), total_err
         tensors[hi] = tensors[hi] / nrm
-        return Mps(tensors, self.log_norm + np.log(nrm), hi, self.is_zero), total_err
+        return Mps._canonical(tensors, self.log_norm + np.log(nrm), hi, self.is_zero), total_err
 
     # ------------------------------------------------------------------
     # measurements
@@ -438,19 +430,6 @@ class Mps:
             v = v.reshape(v.shape[0] * v.shape[1], v.shape[2])
         return v[:, 0] * np.exp(self.log_norm)
 
-    def select_components(self, indices) -> complex:
-        """Contract fixing one physical index per site (product-basis element).
-
-        The running vector is rescaled by exact powers of two, so an element
-        that a long chain takes outside the float range on the way still reads.
-        """
-        v, exponent = np.ones((1,), dtype=np.complex128), 0
-        for t, idx in zip(self.tensors, indices):
-            v = v @ t[:, int(idx), :]
-            e = int(np.frexp(np.max(np.abs(v)))[1])
-            v, exponent = v * np.ldexp(1.0, -e), exponent + e
-        return complex(v[0] * np.exp(self.log_norm + exponent * np.log(2.0)))
-
 
 def _full_cuts(tensors, chi_max: int) -> tuple[int, int]:
     """The last cut l and first cut r such that cuts 1..l are left- and
@@ -469,20 +448,15 @@ def _full_cuts(tensors, chi_max: int) -> tuple[int, int]:
     return left, right
 
 
-def _flank_env(ops, kept) -> np.ndarray:
-    """<L|W|L> over a flank from its outer cut, as F[a, b, w].  An identity-gauge
-    site (``_eye``) adds W alone, F'[(a o), (b i), v] = sum_w F[a, b, w] W[w, o, i, v];
-    any other site A takes the general step A^dag F' A over (a o) and (b i)."""
-    env = np.eye(kept[0].shape[0])[:, :, None]
-    for w, a in zip(ops, kept):
+def _flank_env(ops, bond: int) -> np.ndarray:
+    """<L|W|L> over a flank from its outer cut of size ``bond``, as F[a, b, w].
+    The flank's sites are δ, so each adds W alone:
+    F'[(a o), (b i), v] = sum_w F[a, b, w] W[w, o, i, v]."""
+    env = np.eye(bond)[:, :, None]
+    for w in ops:
         (chi, _, wl), (_, o, i, v) = env.shape, w.shape
         f = np.dot(env.reshape(-1, wl), w.reshape(wl, -1)).reshape(chi, chi, o, i, v)
-        f = f.transpose(0, 2, 1, 3, 4)  # (a, o, b, i, v)
-        if a.base is _eye(a.shape[2]):
-            env = f.reshape(chi * o, chi * i, v)
-        else:
-            f = np.tensordot(a.conj(), f, axes=([0, 1], [0, 1]))
-            env = np.tensordot(f, a, axes=([1, 2], [0, 1])).transpose(0, 2, 1)
+        env = f.transpose(0, 2, 1, 3, 4).reshape(chi * o, chi * i, v)
     return env
 
 
@@ -498,12 +472,29 @@ def _site_op(op, t: np.ndarray) -> np.ndarray:  # an idle site (None): the ident
     return np.eye(t.shape[1])[None, :, :, None] if op is None else op
 
 
-@lru_cache(maxsize=32)  # bounded: a site of an evicted size takes the general step
+@lru_cache(maxsize=32)
 def _eye(k: int) -> np.ndarray:
-    """The read-only identity that gauge steps share: a view of it (``.base``) is δ."""
+    """The identity that gauge steps share, read-only so no step writes into it."""
     eye = np.eye(k, dtype=np.complex128)
     eye.flags.writeable = False
     return eye
+
+
+def _orth_left(tensors: list[np.ndarray], i: int) -> None:
+    """Site i left-isometric, the rest carried into i + 1; a split that is not
+    tall is a gauge step with no QR, as in ``Mps._sweep``: the site is δ(l·d + s, r)."""
+    dl, d, dr = tensors[i].shape
+    t = tensors[i].reshape(dl * d, dr)
+    q, r = (_eye(dl * d), t) if dl * d <= dr else np.linalg.qr(t)
+    tensors[i] = q.reshape(dl, d, -1)
+    tensors[i + 1] = _absorb_left(r, tensors[i + 1])
+
+
+def _orth_right(tensors: list[np.ndarray], i: int) -> None:
+    """``_orth_left`` mirrored (bonds swapped): a gauge step leaves δ(l, r·d + s)."""
+    pair = [tensors[i].transpose(2, 1, 0), tensors[i - 1].transpose(2, 1, 0)]
+    _orth_left(pair, 0)
+    tensors[i], tensors[i - 1] = (t.transpose(2, 1, 0) for t in pair)
 
 
 def _gram_walk(sites) -> tuple[list[np.ndarray], np.ndarray]:
@@ -569,14 +560,20 @@ def split_two_site(us) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def inner(a: Mps, b: Mps) -> complex:
-    """Overlap <a|b>, including both log_norm scales."""
+    """Overlap <a|b>, including both log_norm scales.
+
+    The running environment is rescaled by exact powers of two, so an overlap
+    whose raw value or scale leaves the float range on the way still reads.
+    """
     if a.phys_dims != b.phys_dims:
         raise ValueError("length mismatch")
-    e = np.ones((1, 1), dtype=np.complex128)
+    e, exponent = np.ones((1, 1), dtype=np.complex128), 0
     for ta, tb in zip(a.tensors, b.tensors):
         tmp = np.tensordot(e, tb, axes=(1, 0))  # (a, d, rb)
         e = np.tensordot(ta.conj(), tmp, axes=((0, 1), (0, 1)))  # (ra, rb)
-    return complex(e[0, 0] * np.exp(a.log_norm + b.log_norm))
+        shift = int(np.frexp(np.max(np.abs(e)))[1])
+        e, exponent = e * np.ldexp(1.0, -shift), exponent + shift
+    return complex(e[0, 0] * np.exp(a.log_norm + b.log_norm + exponent * np.log(2.0)))
 
 
 def diagonal_mpo(mats) -> np.ndarray:

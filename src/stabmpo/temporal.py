@@ -108,7 +108,7 @@ def vertical_fold_evolve(
             return res
 
     nu, sign = _observable_letters(circuit, observable)
-    value = sign * y.select_components(nu.letters())
+    value = sign * inner(Mps.from_site_vectors(np.eye(4)[list(nu.letters())]), y)
     if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
         raise ValueError(f"folded expectation has imaginary residual {value.imag}")
     res.value = float(value.real)

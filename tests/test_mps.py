@@ -45,6 +45,7 @@ from stabmpo.mps import (
     split_two_site,
     window_mpo,
 )
+from stabmpo import mps as mps_module
 from stabmpo.pauli import SIGMA, PauliString
 from stabmpo.temporal import (
     _FOLDED_COLUMNS,
@@ -322,8 +323,9 @@ def test_compress_renormalize_tracks_log_norm():
 # canonical center and window-local layers
 # ----------------------------------------------------------------------
 def assert_canonical(m: Mps) -> None:
-    """Every site left of the center is left-, every site right of it right-isometric."""
-    assert m.center is not None
+    """Every site left of the center is left-, every site right of it right-isometric,
+    and every square one is exactly δ (``assert_identity_gauge``)."""
+    assert_identity_gauge(m)
     for i, t in enumerate(m.tensors):
         dl, d, dr = t.shape
         if i < m.center:
@@ -371,14 +373,6 @@ def pauli_layers_state(chi_max: int, n: int = 8) -> Mps:
         gamma = PauliString.from_letters([int(rng.integers(4)) for _ in range(n)])
         state, _ = apply_layer(state, StabMpoLayer(gamma, 0.35), TruncationPolicy(chi_max))
     return state
-
-
-def test_init_rejects_center_out_of_range():
-    tensors = Mps.product_state([0, 0, 0]).tensors
-    for center in (-1, 3, 10):
-        with pytest.raises(ValueError, match="center"):
-            Mps(tensors, center=center)
-    assert Mps(tensors, center=2).center == 2
 
 
 def network_dense(tensors) -> np.ndarray:
@@ -429,7 +423,6 @@ def test_product_states_are_canonical_at_center_0():
 
 PAST_END = object()  # one past the entry point's last valid index
 INDEX_ENTRIES = {  # name: (call with index i, last valid index on 3 sites)
-    "center": (lambda m, i: Mps(m.tensors, center=i), 2),
     "move_center": (lambda m, i: m.move_center(i), 2),
     "apply_1q_gate": (lambda m, i: m.apply_1q_gate(np.eye(2), i), 2),
     "apply_2q_gate": (lambda m, i: m.apply_2q_gate(np.eye(4), i, EXACT8), 1),
@@ -449,7 +442,6 @@ def test_every_index_is_an_int_in_range(entry, value):
     with pytest.raises(ValueError, match="out of range"):
         call(m, last + 1 if value is PAST_END else value)
     call(m, np.int64(last))
-    assert Mps(m.tensors, center=np.int64(1)).center == 1
 
 
 def test_center_invariant_after_every_operation():
@@ -531,7 +523,7 @@ def test_expect_local_matches_expect_pauli_at_every_center():
             # unnormalized: the center tensor scaled
             tensors = list(m.move_center(center).tensors)
             tensors[center] = tensors[center] * rng.uniform(0.3, 3.0)
-            state = Mps(tensors, center=center)
+            state = Mps._canonical(tensors, 0.0, center, False)
             letters = rng.integers(4, size=n)
             got = state.expect_local(letters)
             assert got.dtype == np.float64 and got.shape == (n,)
@@ -726,7 +718,7 @@ def assert_identity_gauge(m: Mps) -> None:
             assert is_delta(m.tensors[j], "right"), j
 
 
-def hand_canonical(tensors: list, center: int) -> Mps:
+def hand_canonical(tensors: list, center: int) -> list:
     """The network canonical at ``center`` by numpy QR alone, so its square
     isometric sites are random unitaries, not the identity gauge."""
     ts, n = list(tensors), len(tensors)
@@ -736,38 +728,57 @@ def hand_canonical(tensors: list, center: int) -> Mps:
     for i in range(n - 1, center, -1):
         q, r = np.linalg.qr(ts[i].reshape(ts[i].shape[0], -1).T)
         ts[i], ts[i - 1] = q.T.reshape(ts[i].shape), np.tensordot(ts[i - 1], r.T, axes=(2, 0))
-    return Mps(ts, center=center)
+    return ts
 
 
 @pytest.mark.parametrize("kind", ["layer", "row", "column", "brick"])
-def test_flank_sites_off_the_identity_gauge_take_the_general_step(kind):
-    # every window from every center of one state, full at every cut and built
-    # canonical by hand: the sites that apply_mpo's center move does not pass
-    # keep their random unitaries, and the flank walk folds them by the
-    # general step
+def test_hand_canonical_networks_enter_in_the_identity_gauge(kind):
+    # a network made canonical at any center by numpy QR alone has random
+    # unitaries for its square sites; Mps(tensors) re-gauges them to δ without
+    # moving the state, and windows from every center then match dense
     rng = np.random.default_rng({"layer": 101, "row": 102, "column": 103, "brick": 104}[kind])
     n, d = 8, 2 if kind in ("layer", "brick") else 4
     tensors = full_network(rng, n, d)
-    states = [hand_canonical(tensors, center) for center in range(n)]
-    ref = np.linalg.norm(network_dense(tensors))
+    want = network_dense(tensors)
+    ref = np.linalg.norm(want)
+    for center in range(n):
+        hand = hand_canonical(tensors, center)
+        sides = {j: "left" if j < center else "right" for j in range(n) if j != center}
+        assert not any(is_delta(hand[j], side) for j, side in sides.items())
+        m = Mps(hand)
+        assert m.center == 0
+        assert_canonical(m)
+        assert np.linalg.norm(m.to_dense(16) - want) <= 1e-13 * ref
     exact = TruncationPolicy(chi_max=d**n)
-    general = 0
-    for lo in range(n):
-        for hi in range(lo, n):
-            want = np.zeros(1)
-            while np.linalg.norm(want) < 1e-9 * ref:  # a column can annihilate it
-                ops = window_operator(rng, kind, n, lo, hi)
-                want = dense_apply(ops, states[0])
-            for state in states:
-                if not general:  # the flank sites apply_mpo walks
-                    i_l, last = documented_core(state, lo, hi, exact.chi_max)
-                    kept = state.move_center(min(max(state.center, lo), last)).tensors
-                    general += sum(not is_delta(kept[j], "left") for j in range(lo, i_l))
-                    general += sum(not is_delta(kept[j], "right") for j in range(last + 1, hi + 1))
-                out, err = state.apply_mpo(ops, exact)
-                assert err < 1e-12
-                assert np.linalg.norm(out.to_dense(16) - want) <= 1e-12 * np.linalg.norm(want)
-    assert general > 0, "no flank site took the general step"
+    for lo, hi in ((0, n - 1), (1, 6), (2, 2), (5, 7), (0, 3), (3, 4)):
+        want = np.zeros(1)
+        while np.linalg.norm(want) < 1e-9 * ref:  # a column can annihilate it
+            ops = window_operator(rng, kind, n, lo, hi)
+            want = dense_apply(ops, m)
+        for center in range(n):
+            out, err = m.move_center(center).apply_mpo(ops, exact)
+            assert err < 1e-12
+            assert_canonical(out)
+            assert np.linalg.norm(out.to_dense(16) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_one_qubit_gates_keep_the_identity_gauge():
+    # a one-qubit gate is a bond-1 window: from every center, at every site of
+    # a state full at every cut, the center ends at the site in the identity
+    # gauge, and the state is the dense gate applied
+    rng = np.random.default_rng(110)
+    n = 8
+    state = Mps(full_network(rng, n, 2))
+    for center in range(n):
+        before = state.move_center(center)
+        for site in range(n):
+            ops = [None] * n
+            ops[site] = random_unitary(rng, 2)[None, :, :, None]
+            out = before.apply_1q_gate(ops[site][0, :, :, 0], site)
+            assert out.center == site
+            assert_canonical(out)
+            want = dense_apply(ops, before)
+            assert np.linalg.norm(out.to_dense(16) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("kind", ["layer", "row", "column"])
@@ -847,9 +858,8 @@ def test_tiny_state_survives_a_window_and_scalar_steps():
     scaled, err = out.apply_mpo(0.5j, EXACT8)
     assert err == 0.0 and not scaled.is_zero
     assert raw_norm(scaled) == pytest.approx(1.0, abs=1e-12)
-    assert scaled.select_components([0] * 40) == pytest.approx(
-        0.5j * out.select_components([0] * 40), rel=1e-12
-    )
+    zeros = Mps.product_state([0] * 40)
+    assert inner(zeros, scaled) == pytest.approx(0.5j * inner(zeros, out), rel=1e-12)
     gone, _ = out.apply_mpo(1e-13, EXACT8)
     assert gone.is_zero and norm(gone) < 1e-12 * norm(out)  # flagged, not rescaled
 
@@ -967,7 +977,7 @@ def dense_to_mps(vec: np.ndarray, n: int) -> Mps:
         u, s, vh = np.linalg.svd(rest.reshape(bl * 2, -1), full_matrices=False)
         tensors.append(u.reshape(bl, 2, -1))
         rest = s[:, None] * vh
-    return Mps(tensors + [rest.reshape(-1, 2, 1)], center=n - 1)
+    return Mps(tensors + [rest.reshape(-1, 2, 1)])
 
 
 def schmidt_state(rng, tail) -> tuple[Mps, np.ndarray]:
@@ -1023,6 +1033,29 @@ def test_certified_split_cuts_exactly_where_the_eigen_split_cuts(eigh_sizes):
             for i in range(3):
                 size = 2 ** (i + 1)
                 assert np.array_equal(out.tensors[i].reshape(size, -1), np.eye(size))
+
+
+def test_split_that_eigh_keeps_whole_is_the_gauge_step(eigh_sizes, monkeypatch):
+    # the certificate only saves the eigh: where it fails but eigh keeps every
+    # weight (a weight within rounding of svd_cutoff), the split writes the same
+    # shared identity (Q) and carry, so the state is bit for bit the certified one
+    rng = np.random.default_rng(99)
+    n = 7
+    state = random_chain(rng, n, 2, chi=6).move_center(3)
+    ops = window_operator(rng, "layer", n, 1, 5)
+    eigh_sizes.clear()
+    certified = [compress(state, EXACT8), state.apply_mpo(ops, EXACT8)]
+    assert eigh_sizes == []  # every split keeps every weight
+    monkeypatch.setattr(mps_module, "_keeps_every_weight", lambda rho, policy: False)
+    eigh_sizes.clear()
+    for (want, want_err), (out, err) in zip(
+        certified, [compress(state, EXACT8), state.apply_mpo(ops, EXACT8)]
+    ):
+        assert err == want_err == 0.0
+        assert out.bond_dims == want.bond_dims and out.log_norm == want.log_norm
+        assert all(np.array_equal(a, b) for a, b in zip(out.tensors, want.tensors))
+        assert_canonical(out)
+    assert len(eigh_sizes) == 8  # 6 splits in the compression, 2 in the core [2, 4]
 
 
 def test_split_above_chi_max_always_goes_to_eigh(eigh_sizes):
@@ -1181,6 +1214,14 @@ def test_inner_examples_and_symmetry():
     assert inner(a, b) == pytest.approx(ref, abs=1e-10)
     assert inner(b, a) == pytest.approx(np.conj(inner(a, b)), abs=1e-12)
     assert abs(inner(a, b)) <= norm(a) * norm(b) + 1e-12
+
+
+def test_inner_reads_overlaps_whose_scale_leaves_the_float_range():
+    # <+...+|0...0> = 1 at 2100 sites: the raw overlap is 2**-1050 and the
+    # scale exp(1050 ln 2); neither is a float
+    n = 2100
+    ones = Mps.from_site_vectors(np.ones((n, 2)))
+    assert inner(ones, Mps.product_state([0] * n)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unitary_gates_preserve_norm():

@@ -406,6 +406,25 @@ def test_vertical_fold_reads_its_value_beyond_float_range(n):
             assert fold == pytest.approx(other.value, abs=1e-12), (j, fold, other.value)
 
 
+def test_three_methods_agree_on_more_than_1024_layers():
+    # the horizontal sweep's all-ones closure has log_norm m ln 2, which exp()
+    # overflows from m = 1024 on: the overlap must read the value that layer
+    # evolution and the vertical fold read
+    n, m = 2, 1030
+    bits = [0] * n
+    circ = compile_blocks(n, sample_tdoped_blocks(n, m, 1, realization_rng(m, 0)))
+    assert circ.m == m
+    for j in range(n):
+        obs = circ.residual.conjugate(PauliString.single(n, j, 3), "forward")
+        values = [
+            expectation(Mps.product_state(bits), circ, obs, EXACT).value,
+            vertical_fold_evolve(circ, obs, bits, EXACT).value,
+            horizontal_contract(circ, obs, bits, EXACT).value,
+        ]
+        assert max(values) - min(values) <= 1e-12, (j, values)
+        assert abs(values[0]) > 0.1, "the observable reads zero"
+
+
 def test_horizontal_rejects_length_mismatch():
     circ = trivial_circuit(3, [])
     with pytest.raises(ValueError):
@@ -470,7 +489,7 @@ def vertical_reference(circ, obs, bits, policy):
         if y.is_zero:
             return 0.0, True
     nu = transform_observable(circ.residual, obs)
-    raw = y.select_components(nu.letters()) * 2**circ.n
+    raw = inner(Mps.from_site_vectors(np.eye(4)[list(nu.letters())]), y) * 2**circ.n
     return nu.sign * raw.real, False
 
 
