@@ -17,13 +17,13 @@ the support window of gamma (its first to last non-identity letter).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, inf, isfinite, pi, sin
+from math import cos, inf, pi, sin
 
 import numpy as np
 
 from .clifford import CliffordCircuit, CliffordTableau, _naming_line, append_to_inverse
 from .mps import Mps, TruncationPolicy, diagonal_mpo, window_mpo
-from .pauli import ORACLE_CAP, SIGMA, PauliString, _index
+from .pauli import ORACLE_CAP, SIGMA, PauliString, _angle, _index
 
 # _LAYER_SITES[g]: the uncapped bond-2 operator (I on branch 0, sigma^g on
 # branch 1) of a layer site with letter g; shared by every layer
@@ -43,8 +43,7 @@ class RotationGate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "site", _index(self.site, 0, inf, "rotation site"))
         object.__setattr__(self, "axis", _index(self.axis, 1, 3, "rotation axis"))
-        if not isfinite(self.theta):
-            raise ValueError(f"rotation angle must be finite, got {self.theta!r}")
+        object.__setattr__(self, "theta", _angle(self.theta, "rotation angle"))
 
 
 def t_gate(site: int) -> RotationGate:
@@ -62,8 +61,7 @@ class StabMpoLayer:
     def __post_init__(self) -> None:
         if not self.gamma.is_hermitian:
             raise ValueError("layer string must be Hermitian")
-        if not isfinite(self.theta_eff):
-            raise ValueError(f"layer angle must be finite, got {self.theta_eff!r}")
+        object.__setattr__(self, "theta_eff", _angle(self.theta_eff, "layer angle"))
 
     @property
     def phi0(self) -> complex:

@@ -5,21 +5,21 @@ under forward conjugation P -> C P C^dag, each as ``(x, z, phase)`` ints
 with exact signs, the layout of Aaronson & Gottesman (PRA 70, 052328
 (2004)).  Every gate is a local tableau in the same layout: the packed
 images of X_0 [X_1] Z_0 [Z_1] on its own qubits, read from a literal table
-for the elementary gates and from the enumeration for a brick.  One rule
-conjugates by any gate: gather the string's bits on the gate's qubits,
-multiply the local rows of those bits, scatter the image back.  An
-incremental compiler keeps the rows of C^dag instead, as Stim's
-TableauSimulator does (Gidney, Quantum 5, 497 (2021)): appending a gate to C
-rewrites only the rows of its qubits (``append_to_inverse``), each the image
-of a local row of the inverse gate, and ``CliffordTableau.from_inverse``
-builds the forward rows from them only when read.  The module also provides
-the circuit container, its line-oriented serialization, and the two
-samplers used by the experiment drivers: brick-wall layers of uniformly
-random two-qubit Cliffords and random U(1)-symmetric Cliffords in CZ /
-phase-power / permutation form.  A sampled two-qubit Clifford stays one
-element, a ``Brick`` that carries its index in an exhaustive enumeration of
-all 11520 elements, read from a generated table that stores each element's
-packed images, its gate sequence and its inverse's index.
+for the elementary gates and from the enumeration for a brick.  One
+per-gate rule builds every tableau, as Stim's TableauSimulator does
+(Gidney, Quantum 5, 497 (2021)): the rows of C^dag are kept, and appending
+a gate to C rewrites only the rows of its qubits (``append_to_inverse``),
+each the image of a local row of the inverse gate; ``from_inverse`` builds
+the forward rows from them only when read.  One whole-tableau rule maps a
+string through given rows (``_image_bits``), and ``conjugate`` runs it in
+either direction.  The module also provides the circuit container, its
+line-oriented serialization, and the two samplers used by the experiment
+drivers: brick-wall layers of uniformly random two-qubit Cliffords and
+random U(1)-symmetric Cliffords in CZ / phase-power / permutation form.  A
+sampled two-qubit Clifford stays one element, a ``Brick`` that carries its
+index in an exhaustive enumeration of all 11520 elements, read from a
+generated table that stores each element's packed images, its gate
+sequence and its inverse's index.
 """
 
 from __future__ import annotations
@@ -223,29 +223,6 @@ def _local_rows(g: Gate | Brick) -> tuple[Row, ...]:
     return _brick_rows(g.index) if isinstance(g, Brick) else _GATE_ROWS[g.name]
 
 
-def _conjugate_bits(x: int, z: int, phase: int, g: Gate | Brick) -> Row:
-    """Forward-conjugate the packed string by one gate.
-
-    The string's bits on the gate's qubits are gathered into a local string,
-    mapped by the gate's local rows and scattered back; other bits stay.
-    """
-    qubits = g.qubits
-    lx = lz = 0
-    for q in reversed(qubits):
-        lx = lx << 1 | x >> q & 1
-        lz = lz << 1 | z >> q & 1
-    if not lx | lz:
-        return x, z, phase
-    lx, lz, phase = _image_bits(_local_rows(g), len(qubits), lx, lz, phase)
-    for q in qubits:
-        m = 1 << q
-        x = x & ~m | (lx & 1) << q
-        z = z & ~m | (lz & 1) << q
-        lx >>= 1
-        lz >>= 1
-    return x, z, phase
-
-
 def append_to_inverse(rows: list[Row], circ: CliffordCircuit) -> None:
     """Update the packed rows of C^dag in place to those of (circ C)^dag.
 
@@ -326,7 +303,10 @@ class CliffordTableau:
 
     @classmethod
     def from_circuit(cls, circ: CliffordCircuit) -> "CliffordTableau":
-        return cls.identity(circ.n).apply_circuit(circ)
+        """Tableau of ``circ``, built gate by gate as the rows of its inverse."""
+        rows = list(cls.identity(circ.n).rows)
+        append_to_inverse(rows, circ)
+        return cls.from_inverse(cls(circ.n, rows))
 
     @classmethod
     def from_inverse(cls, inv: "CliffordTableau") -> "CliffordTableau":
@@ -346,19 +326,6 @@ class CliffordTableau:
         if self._rows is None:
             self._rows = tuple(_symplectic_inverse(self._inv.rows, self.n))
         return self._rows
-
-    # ------------------------------------------------------------------
-    def apply_gate(self, g: Gate) -> "CliffordTableau":
-        """Tableau of g o C (gate applied after the current circuit)."""
-        return self.apply_circuit(CliffordCircuit(self.n, (g,)))
-
-    def apply_circuit(self, circ: CliffordCircuit) -> "CliffordTableau":
-        if circ.n != self.n:
-            raise ValueError("qubit count mismatch")
-        rows = self.rows
-        for g in circ.gates:
-            rows = [_conjugate_bits(x, z, phase, g) for (x, z, phase) in rows]
-        return CliffordTableau(self.n, rows)
 
     # ------------------------------------------------------------------
     def conjugate(self, p: PauliString, direction: str = "forward") -> PauliString:

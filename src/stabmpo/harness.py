@@ -38,8 +38,8 @@ from .clifford import (
 from .dense import GATE_2Q, apply_unitary, gate_matrix, rotation_matrix, run_blocks
 from .dense import expectation as dense_expectation
 from .mps import Mps, TruncationPolicy, split_two_site
-from .pauli import PauliString, basis_bits
-from .temporal import horizontal_contract, write_temporal_csv
+from .pauli import PauliString, _angle, basis_bits
+from .temporal import horizontal_contract
 
 WORKERS_ENV = "STABMPO_WORKERS"
 
@@ -134,7 +134,7 @@ class FloquetConfig:
             raise ValueError("all counts must be >= 1")
         if self.seed < 0:  # numpy rejects a negative entry of [seed, realization]
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.epsilon <= pi / 2:
+        if not 0.0 <= _angle(self.epsilon, "epsilon") <= pi / 2:
             raise ValueError("epsilon must lie in [0, pi/2]")
 
     @property
@@ -389,13 +389,7 @@ def mean_stderr(values) -> tuple[float, float]:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(float(v)) if isinstance(v, float) else str(v)  # np.float64 too
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -478,8 +472,11 @@ def _write_files(res: RunResult, outdir: Path) -> None:
         agg.append(",".join([track, str(m)] + [_fmt(float(v)) for v in vals]))
     _write_lines(outdir / "aggregate.csv", agg)
 
-    if res.temporal_mean is not None:
-        write_temporal_csv(outdir / "temporal.csv", res.temporal_mean)
+    if res.temporal_mean is not None:  # the (m, n) entropy matrix, 1-based
+        rows = ["n,m,entropy_bits"]
+        for m, row in enumerate(res.temporal_mean, start=1):
+            rows += [f"{j},{m},{_fmt(float(ent))}" for j, ent in enumerate(row, start=1)]
+        _write_lines(outdir / "temporal.csv", rows)
     res.outdir = outdir
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import isfinite
 
 import numpy as np
 
@@ -57,9 +58,7 @@ class OracleCapError(ValueError):
 
 def index_to_xz(mu: int) -> tuple[int, int]:
     """Return the (x, z) bit pair of basis index mu in {0,1,2,3}."""
-    if mu not in (0, 1, 2, 3):
-        raise ValueError(f"Pauli letter index must be 0, 1, 2 or 3, got {mu!r}")
-    return _INDEX_TO_XZ[int(mu)]
+    return _INDEX_TO_XZ[_index(mu, 0, 3, "Pauli letter index")]
 
 
 def _index(value, lo: int, hi: int, what: str) -> int:
@@ -68,6 +67,19 @@ def _index(value, lo: int, hi: int, what: str) -> int:
     if not (ok and lo <= value <= hi):  # 1.5 would reach a range, True act as 1
         raise ValueError(f"{what} {value!r} out of range [{lo}, {hi}]")
     return int(value)
+
+
+def _angle(value, what: str) -> float:
+    """``value`` as a finite float; a bool, a non-real or non-finite value raises."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    ok = real and not isinstance(value, bool)
+    try:  # an int too large for a float overflows
+        ok = ok and isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok:  # True would act as 1, '0.5' and 1+0j leak TypeError
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def basis_bits(bits) -> list[int]:

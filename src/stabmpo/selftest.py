@@ -84,17 +84,21 @@ def _check_enumeration() -> None:
 
 
 def _check_bricks(rng) -> None:
-    """Seeded bricks on random pairs: dense 4x4 against tableau conjugation."""
+    """Seeded bricks on random pairs: row k of C^dag against dense u^dag G_k u
+    (G_k is X_j, then Z_j), and forward images against u P u^dag."""
     n = 3
+    gens = [PauliString.single(n, j, axis).to_dense() for axis in (1, 3) for j in range(n)]
     for _ in range(30):
         a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
         index = int(rng.integers(TWO_QUBIT_CLIFFORD_COUNT))
         circ = CliffordCircuit(n, (Brick(index, (a, b)),))
-        tab = CliffordTableau.from_circuit(circ)
         rows = list(CliffordTableau.identity(n).rows)
         append_to_inverse(rows, circ)
-        _require(CliffordTableau(n, rows) == tab.inverse(), "brick rows of C^dag differ")
         u = circuit_unitary(circ)
+        for k, (g, row) in enumerate(zip(gens, rows)):
+            ok = np.allclose(PauliString(n, *row).to_dense(), u.conj().T @ g @ u, atol=1e-10)
+            _require(ok, f"brick {index} on {(a, b)}: row {k} of C^dag differs from dense")
+        tab = CliffordTableau.from_circuit(circ)
         for p in [_random_pauli(rng, n).unsigned() for _ in range(4)]:
             img = tab.conjugate(p, "forward")
             ok = np.allclose(img.to_dense(), u @ p.to_dense() @ u.conj().T, atol=1e-10)

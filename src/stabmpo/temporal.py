@@ -175,13 +175,3 @@ def horizontal_contract(
     res.value = float(value.real)
     return res
 
-
-def write_temporal_csv(path, matrix: np.ndarray) -> None:
-    """Write an (m, n) entropy matrix as 'n,m,entropy_bits' rows (1-based)."""
-    lines = ["n,m,entropy_bits"]
-    m_count, n_count = matrix.shape
-    for m in range(m_count):
-        for j in range(n_count):
-            lines.append(f"{j + 1},{m + 1},{float(matrix[m, j])!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -11,7 +11,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from stabmpo.clifford import Brick, CliffordCircuit, Gate, two_qubit_clifford_sequences
+from stabmpo.clifford import (
+    Brick,
+    CliffordCircuit,
+    CliffordTableau,
+    Gate,
+    Row,
+    _image_bits,
+    _local_rows,
+    two_qubit_clifford_sequences,
+)
 from stabmpo.mps import Mps, TruncationPolicy
 from stabmpo.pauli import PauliString
 
@@ -50,6 +59,45 @@ def expand_bricks(circ: CliffordCircuit) -> CliffordCircuit:
         else:
             gates.append(g)
     return CliffordCircuit(circ.n, tuple(gates))
+
+
+def conjugate_bits(x: int, z: int, phase: int, g) -> Row:
+    """Forward-conjugate the packed string by one gate: the reference rule.
+
+    The string's bits on the gate's qubits are gathered into a local string,
+    mapped by the gate's local rows and scattered back; other bits stay.
+    """
+    qubits = g.qubits
+    lx = lz = 0
+    for q in reversed(qubits):
+        lx = lx << 1 | x >> q & 1
+        lz = lz << 1 | z >> q & 1
+    if not lx | lz:
+        return x, z, phase
+    lx, lz, phase = _image_bits(_local_rows(g), len(qubits), lx, lz, phase)
+    for q in qubits:
+        m = 1 << q
+        x = x & ~m | (lx & 1) << q
+        z = z & ~m | (lz & 1) << q
+        lx >>= 1
+        lz >>= 1
+    return x, z, phase
+
+
+def forward_tableau(
+    circ: CliffordCircuit, base: CliffordTableau | None = None
+) -> CliffordTableau:
+    """Tableau of ``circ`` applied after ``base`` (the identity if None).
+
+    The reference for the compiler's rows of C^dag: every forward row is
+    conjugated gate by gate with ``conjugate_bits``.
+    """
+    rows = (CliffordTableau.identity(circ.n) if base is None else base).rows
+    if len(rows) != 2 * circ.n:
+        raise ValueError("qubit count mismatch")
+    for g in circ.gates:
+        rows = [conjugate_bits(x, z, phase, g) for x, z, phase in rows]
+    return CliffordTableau(circ.n, rows)
 
 
 def random_state_vector(rng, n: int) -> np.ndarray:

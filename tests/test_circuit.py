@@ -7,7 +7,7 @@ from math import cos, pi, sin
 import numpy as np
 import pytest
 
-from conftest import norm, random_clifford_circuit, random_mps
+from conftest import forward_tableau, norm, random_clifford_circuit, random_mps
 from stabmpo.circuit import (
     RotationGate,
     StabMpoCircuit,
@@ -30,6 +30,7 @@ from stabmpo.dense import (
     rotation_matrix,
 )
 from stabmpo.harness import (
+    FloquetConfig,
     dense_oracle_run,
     realization_rng,
     sample_floquet_blocks,
@@ -73,7 +74,7 @@ def test_rotation_through_identity_is_local_z():
 
 
 def test_rotation_through_hadamard_becomes_x():
-    tab = CliffordTableau.identity(2).apply_gate(Gate("H", (0,)))
+    tab = CliffordTableau.from_circuit(CliffordCircuit(2, (Gate("H", (0,)),)))
     layer = conjugate_rotation(tab, RotationGate(0, 3, 1.1))
     assert layer.gamma.to_literal() == "+XI"
     assert layer.theta_eff == pytest.approx(1.1)
@@ -81,7 +82,7 @@ def test_rotation_through_hadamard_becomes_x():
 
 def test_rotation_sign_absorbed_in_theta():
     # S^dag X S = -Y, so an X rotation pulled through S flips the angle
-    tab = CliffordTableau.identity(1).apply_gate(Gate("S", (0,)))
+    tab = CliffordTableau.from_circuit(CliffordCircuit(1, (Gate("S", (0,)),)))
     layer = conjugate_rotation(tab, RotationGate(0, 1, 0.9))
     assert layer.gamma.to_literal() == "-Y"
     assert layer.theta_eff == pytest.approx(-0.9)
@@ -143,7 +144,7 @@ def test_compile_matches_dense_product():
         full_clifford = CliffordCircuit(n)
         for circ, _rot in blocks:
             full_clifford = full_clifford + circ
-        assert compiled.residual == CliffordTableau.from_circuit(full_clifford)
+        assert compiled.residual == forward_tableau(full_clifford)
         u_ref = dense_of_blocks(n, blocks)
         u_got = dense_of_compiled(compiled, full_clifford)
         assert np.max(np.abs(u_got - u_ref)) < 1e-10
@@ -171,7 +172,7 @@ def test_compiler_matches_forward_tableau_for_every_gate_type():
                 comp.push_clifford(circ)
                 layer = comp.push_rotation(rot)
                 prefix = prefix + circ
-                want = CliffordTableau.from_circuit(prefix)
+                want = forward_tableau(prefix)
                 assert layer == conjugate_rotation(want, rot)
                 assert comp.result().residual == want
                 assert CliffordTableau.from_inverse(want.inverse()) == want
@@ -411,10 +412,26 @@ def test_circuit_text_errors_name_the_offending_line(old, new, message):
         StabMpoCircuit.from_text(_GOOD_TEXT.replace(old, new))
 
 
-@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "theta",
+    [float("nan"), float("inf"), -float("inf"), True,
+     pytest.param(np.True_, id="numpy-bool"), pytest.param("0.5", id="string"),
+     pytest.param(1 + 0j, id="complex"), pytest.param(None, id="none"),
+     pytest.param(10**400, id="huge-int")],
+)
 def test_rotation_gate_rejects_non_finite_angle(theta):
-    with pytest.raises(ValueError):
+    # every angle (a rotation's, a layer's, the Floquet epsilon) is a finite
+    # real: True used to act as 1, the others to leak TypeError or
+    # OverflowError from math.isfinite
+    with pytest.raises(ValueError, match="rotation angle"):
         RotationGate(0, 3, theta)
+    with pytest.raises(ValueError, match="layer angle"):
+        StabMpoLayer(PauliString.from_literal("Z"), theta)
+    with pytest.raises(ValueError, match="epsilon"):
+        FloquetConfig(epsilon=theta).validate()
+    for ok in (1, np.float32(0.5), np.int64(1)):
+        assert type(RotationGate(0, 3, ok).theta) is float
+        assert type(StabMpoLayer(PauliString.from_literal("Z"), ok).theta_eff) is float
 
 
 @pytest.mark.parametrize("site", [1.5, True, -1])

@@ -16,7 +16,13 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import expand_bricks, random_clifford_circuit, random_pauli
+from conftest import (
+    conjugate_bits,
+    expand_bricks,
+    forward_tableau,
+    random_clifford_circuit,
+    random_pauli,
+)
 from stabmpo.clifford import (
     GATE_ARITY,
     TWO_QUBIT_CLIFFORD_COUNT,
@@ -25,7 +31,6 @@ from stabmpo.clifford import (
     CliffordCircuit,
     CliffordTableau,
     Gate,
-    _conjugate_bits,
     _enumeration,
     append_to_inverse,
     gate,
@@ -37,36 +42,41 @@ from stabmpo.dense import GATE_1Q, GATE_2Q, apply_circuit, brick_unitary, circui
 from stabmpo.pauli import PauliString, pauli_coefficient
 
 
-def dense_conjugate(circ: CliffordCircuit, p: PauliString) -> np.ndarray:
-    u = circuit_unitary(circ)
-    return u @ p.to_dense() @ u.conj().T
-
-
 def assert_matches_dense(circ: CliffordCircuit, p: PauliString) -> None:
+    """Both directions, u P u^dag and u^dag P u, against the dense unitary."""
     tab = CliffordTableau.from_circuit(circ)
-    img = tab.conjugate(p, "forward")
-    ref = dense_conjugate(circ, p)
-    # letters must match with coefficient exactly +-1
-    coeff = pauli_coefficient(ref, img.unsigned())
-    assert abs(abs(coeff) - 1.0) < 1e-9
-    assert round(coeff.real) == img.sign
-    assert np.allclose(img.to_dense(), ref, atol=1e-10)
+    u = circuit_unitary(circ)
+    dense = p.to_dense()
+    for direction, ref in (
+        ("forward", u @ dense @ u.conj().T),
+        ("inverse", u.conj().T @ dense @ u),
+    ):
+        img = tab.conjugate(p, direction)
+        # letters must match with coefficient exactly +-1
+        coeff = pauli_coefficient(ref, img.unsigned())
+        assert abs(abs(coeff) - 1.0) < 1e-9
+        assert round(coeff.real) == img.sign
+        assert np.allclose(img.to_dense(), ref, atol=1e-10)
+
+
+def one_gate(n: int, g: Gate) -> CliffordTableau:
+    return CliffordTableau.from_circuit(CliffordCircuit(n, (g,)))
 
 
 def test_identity_plus_hadamard():
-    tab = CliffordTableau.identity(1).apply_gate(Gate("H", (0,)))
+    tab = one_gate(1, Gate("H", (0,)))
     assert tab.conjugate(PauliString.from_literal("X")).to_literal() == "+Z"
     assert tab.conjugate(PauliString.from_literal("Z")).to_literal() == "+X"
 
 
 def test_identity_plus_cnot():
-    tab = CliffordTableau.identity(2).apply_gate(Gate("CNOT", (0, 1)))
+    tab = one_gate(2, Gate("CNOT", (0, 1)))
     assert tab.conjugate(PauliString.from_literal("XI")).to_literal() == "+XX"
     assert tab.conjugate(PauliString.from_literal("IZ")).to_literal() == "+ZZ"
 
 
 def test_phase_gate_directions():
-    tab = CliffordTableau.identity(1).apply_gate(Gate("S", (0,)))
+    tab = one_gate(1, Gate("S", (0,)))
     x = PauliString.from_literal("X")
     assert tab.conjugate(x, "forward").to_literal() == "+Y"
     assert tab.conjugate(x, "inverse").to_literal() == "-Y"
@@ -125,12 +135,17 @@ def test_forward_then_inverse_roundtrip():
 
 
 def test_symplectic_invariant_after_each_gate():
+    # the reference's forward rows and the compiler's rows of C^dag
     rng = np.random.default_rng(14)
     circ = random_clifford_circuit(rng, 4, 20)
     tab = CliffordTableau.identity(4)
+    inv_rows = list(tab.rows)
     for g in circ.gates:
-        tab = tab.apply_gate(g)
+        step = CliffordCircuit(4, (g,))
+        tab = forward_tableau(step, tab)
         tab.validate()
+        append_to_inverse(inv_rows, step)
+        CliffordTableau(4, inv_rows).validate()
 
 
 def test_weight_change_bounds():
@@ -139,11 +154,11 @@ def test_weight_change_bounds():
         p = random_pauli(rng, 4)
         q = int(rng.integers(4))
         for name in ("H", "S", "SDG", "X", "Z"):
-            tab = CliffordTableau.identity(4).apply_gate(Gate(name, (q,)))
+            tab = one_gate(4, Gate(name, (q,)))
             assert tab.conjugate(p).weight == p.weight
         a, b = rng.choice(4, size=2, replace=False)
         for name in ("CNOT", "CZ"):
-            tab = CliffordTableau.identity(4).apply_gate(Gate(name, (int(a), int(b))))
+            tab = one_gate(4, Gate(name, (int(a), int(b))))
             assert abs(tab.conjugate(p).weight - p.weight) <= 1
 
 
@@ -323,7 +338,7 @@ def breadth_first_enumeration():
     generators = (*one_qubit, Gate("CNOT", (0, 1)))
     tables = []
     for g in generators:
-        rows = (_conjugate_bits(u & 3, u >> 2 & 3, u >> 4, g) for u in range(64))
+        rows = (conjugate_bits(u & 3, u >> 2 & 3, u >> 4, g) for u in range(64))
         tables.append([x | z << 2 | (ph & 3) << 4 for x, z, ph in rows])
     start = 1 | 2 << 6 | 4 << 12 | 8 << 18
     index = {start: 0}
@@ -384,7 +399,7 @@ def test_every_brick_matches_its_expanded_sequence():
     for i in range(TWO_QUBIT_CLIFFORD_COUNT):
         brick = CliffordCircuit(3, (Brick(i, (2, 0)),))
         expanded = expand_bricks(brick)
-        assert base.apply_circuit(brick) == base.apply_circuit(expanded)
+        assert forward_tableau(brick, base) == forward_tableau(expanded, base)
         got, want = list(inv_rows), list(inv_rows)
         append_to_inverse(got, brick)
         append_to_inverse(want, expanded)

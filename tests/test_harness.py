@@ -17,7 +17,9 @@ from stabmpo.circuit import (
 from stabmpo.clifford import CliffordCircuit, Gate, sample_u1_clifford
 from stabmpo.harness import (
     FloquetConfig,
+    RunResult,
     TDopedConfig,
+    _write_files,
     analytic_magnetization,
     config_from_sources,
     dense_oracle_run,
@@ -257,6 +259,14 @@ def test_floquet_measure_matches_expect_pauli_for_every_pullback():
             ]
             want = np.mean([state.expect_pauli(nu) for nu in pulled])
             assert abs(cfg.measure(state, comp.tableau) - want) < 1e-12
+
+
+def test_meta_writes_numpy_scalars_as_plain_values(tmp_path):
+    # numpy 2 spells repr(np.float64(0.25)) "np.float64(0.25)"
+    cfg = FloquetConfig(epsilon=np.float64(0.25), chi=np.int64(8))
+    _write_files(RunResult(cfg), tmp_path)
+    meta = (tmp_path / "meta.txt").read_text().splitlines()
+    assert "epsilon=0.25" in meta and "chi=8" in meta
 
 
 def test_floquet_config_validation():

@@ -146,12 +146,18 @@ def test_sign_of_hermitian_strings():
         _ = PauliString.from_literal("+iX").sign
 
 
-@pytest.mark.parametrize("mu", [-1, 4, 5, 1.5])
+@pytest.mark.parametrize(
+    "mu",
+    [-1, 4, 5, 1.5, True, 1.0, pytest.param(np.float64(2.0), id="numpy-float"),
+     pytest.param(np.True_, id="numpy-bool")],
+)
 def test_letter_index_out_of_range_rejected(mu):
-    with pytest.raises(ValueError):
+    # the index rule: True and 1.0 used to act as letter 1, X
+    with pytest.raises(ValueError, match="Pauli letter index"):
         PauliString.single(3, 0, mu)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Pauli letter index"):
         PauliString.from_letters([mu])
+    assert PauliString.single(3, 0, np.int64(1)).to_literal() == "+XII"
 
 
 @pytest.mark.parametrize("site", [1.5, True, np.float64(1.0)])

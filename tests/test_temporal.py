@@ -580,12 +580,12 @@ def test_all_identity_columns_are_scalars(first, fourth):
 
 
 def test_write_temporal_csv(tmp_path):
-    from stabmpo.temporal import write_temporal_csv
+    from stabmpo.harness import RunResult, TDopedConfig, _write_files
 
-    mat = np.array([[0.0, 0.5], [1.0, 0.25]])
-    path = tmp_path / "temporal.csv"
-    write_temporal_csv(path, mat)
-    lines = path.read_text().splitlines()
+    mat = np.array([[0.0, 0.5], [1.0, 0.25]])  # (m, n)
+    _write_files(RunResult(TDopedConfig(), temporal_mean=mat), tmp_path)
+    lines = (tmp_path / "temporal.csv").read_text().splitlines()
     assert lines[0] == "n,m,entropy_bits"
     assert lines[1] == "1,1,0.0"
+    assert lines[2] == "2,1,0.5"
     assert lines[4] == "2,2,0.25"
