@@ -220,6 +220,13 @@ def transform_observable(c: CliffordTableau, p: PauliString) -> PauliString:
     return c.conjugate(p, "inverse")
 
 
+def pull_back(circuit: StabMpoCircuit, observable: PauliString) -> PauliString:
+    """C^dag O C through ``circuit.residual``; a non-Hermitian or wrong-length O raises."""
+    if not observable.is_hermitian:
+        raise ValueError("observable must be Hermitian")
+    return transform_observable(circuit.residual, observable)
+
+
 def apply_layer(
     m: Mps, layer: StabMpoLayer, policy: TruncationPolicy
 ) -> tuple[Mps, float]:
@@ -278,14 +285,12 @@ def expectation(
     state.  The record holds per-layer truncation, the half-chain entropy
     trajectory and the largest bond reached.
     """
-    if not observable.is_hermitian:
-        raise ValueError("observable must be Hermitian")
+    nu = pull_back(circuit, observable)
     state = psi0
     res = Contraction(max_bond=psi0.max_bond)
     for layer in circuit.layers:
         state, err = apply_layer(state, layer, policy)
         if res.record(state, err, state.entanglement_entropy(state.n // 2)):
             return res
-    nu = transform_observable(circuit.residual, observable)
     res.value = state.expect_pauli(nu)
     return res

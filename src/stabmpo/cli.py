@@ -4,7 +4,8 @@ Subcommands: ``tdoped``, ``floquet``, ``temporal`` (T-doped run with the
 temporal-entropy sweep), ``compile`` (sample a T-doped circuit and write
 its compiled form) and ``selftest``.  Run parameters come from an optional
 key=value config file overridden by flags; every run writes meta.txt plus
-CSV files into the output directory.
+CSV files into the output directory.  The temporal sweep is switched on by
+the ``temporal`` subcommand or by ``run_temporal`` in a config file.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ def _add_tdoped_args(parser: argparse.ArgumentParser) -> None:
         "--baseline", action="store_true", default=None,
         help="also run the gate-by-gate reference track",
     )
-    parser.add_argument(
-        "--temporal", action="store_true", default=None,
-        help="emit the temporal entropy sweep",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,8 +85,6 @@ def _collect(args, config_cls) -> dict:
             out[f.name] = getattr(args, f.name)
     if getattr(args, "baseline", None) is not None:
         out["run_baseline"] = args.baseline
-    if getattr(args, "temporal", None) is not None:
-        out["run_temporal"] = args.temporal
     return out
 
 

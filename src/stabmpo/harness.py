@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, fields
-from math import cos, pi, sqrt
+from math import cos, inf, pi, sqrt
 from pathlib import Path
 from typing import ClassVar
 
@@ -38,7 +38,7 @@ from .clifford import (
 from .dense import GATE_2Q, apply_unitary, gate_matrix, rotation_matrix, run_blocks
 from .dense import expectation as dense_expectation
 from .mps import Mps, TruncationPolicy, split_two_site
-from .pauli import PauliString, _angle, basis_bits
+from .pauli import PauliString, _angle, _index, basis_bits
 from .temporal import horizontal_contract
 
 WORKERS_ENV = "STABMPO_WORKERS"
@@ -52,6 +52,24 @@ _AGG_HEADER = (
 )
 
 
+def _check_fields(cfg, names=None) -> None:
+    """The one rule of a study setting, by its field's declared type.
+
+    An int goes through ``_index`` from ``cfg.minimum`` (1 if not listed), a
+    float through ``_angle``, and a bool or a str must be exactly that type.
+    """
+    for f in fields(cfg):
+        if names is not None and f.name not in names:
+            continue
+        value, kind = getattr(cfg, f.name), getattr(f.type, "__name__", f.type)
+        if kind == "int":
+            _index(value, cfg.minimum.get(f.name, 1), inf, f.name)
+        elif kind == "float":
+            _angle(value, f.name)
+        elif type(value) is not {"bool": bool, "str": str}[kind]:
+            raise ValueError(f"{f.name} must be a {kind}, got {value!r}")
+
+
 @dataclass
 class TDopedConfig:
     """T-doped circuits: a record per block; optional baseline and temporal tracks."""
@@ -59,6 +77,8 @@ class TDopedConfig:
     kind: ClassVar[str] = "tdoped"
     aggregate_header: ClassVar[str] = _AGG_HEADER
     record_every: ClassVar[int] = 1
+    # numpy rejects a negative seed; m_layers = 0 is a pure-Clifford circuit
+    minimum: ClassVar[dict] = {"n": 2, "m_layers": 0, "seed": 0}
 
     n: int = 16
     m_layers: int = 10
@@ -72,22 +92,11 @@ class TDopedConfig:
 
     def validate_circuit(self) -> None:
         """Check the fields that sampling a circuit reads: n, m_layers, depth_d, seed."""
-        if min(self.n, self.depth_d) < 1:
-            raise ValueError("all counts must be >= 1")
-        if self.seed < 0:  # numpy rejects a negative entry of [seed, realization]
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # m_layers = 0 is a pure-Clifford circuit: no layers, nothing evolves
-        if self.m_layers < 0:
-            raise ValueError("m_layers must be >= 0")
-        if self.n < 2:
-            raise ValueError("need n >= 2")
+        _check_fields(self, ("n", "m_layers", "depth_d", "seed"))
 
     def validate(self) -> None:
-        if min(self.chi, self.realizations) < 1:
-            raise ValueError("all counts must be >= 1")
-        self.validate_circuit()
-        obs = self.observable_pauli()
-        if not obs.is_hermitian:
+        _check_fields(self)
+        if not self.observable_pauli().is_hermitian:
             raise ValueError("observable must be Hermitian")
 
     def observable_pauli(self) -> PauliString:
@@ -121,6 +130,7 @@ class FloquetConfig:
     aggregate_header: ClassVar[str] = _AGG_HEADER + ",analytic"
     run_baseline: ClassVar[bool] = False
     run_temporal: ClassVar[bool] = False
+    minimum: ClassVar[dict] = {"seed": 0}
 
     n: int = 12
     epsilon: float = 0.1
@@ -130,11 +140,8 @@ class FloquetConfig:
     seed: int = 1234
 
     def validate(self) -> None:
-        if min(self.n, self.periods, self.chi, self.realizations) < 1:
-            raise ValueError("all counts must be >= 1")
-        if self.seed < 0:  # numpy rejects a negative entry of [seed, realization]
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= _angle(self.epsilon, "epsilon") <= pi / 2:
+        _check_fields(self)
+        if not 0.0 <= self.epsilon <= pi / 2:
             raise ValueError("epsilon must lie in [0, pi/2]")
 
     @property
@@ -147,20 +154,11 @@ class FloquetConfig:
     def measure(self, state: Mps, tableau: CliffordTableau) -> float:
         """Magnetization: the mean of <Z_j> pulled back through ``tableau``.
 
-        A U(1) Clifford maps each Z_j to +Z at a site pi(j); every single-site
-        pull-back is read in one ``Mps.expect_local`` pass, and any other
-        string by ``expect_pauli``.
+        The study's Cliffords are U(1), and a product of them maps each Z_j
+        to +Z at a site pi(j), so the pull-backs are Z on every site: one
+        ``Mps.expect_local`` pass reads them, and the tableau is not needed.
         """
-        letters, signs, mz = np.zeros(self.n, dtype=int), np.zeros(self.n), 0.0
-        for j in range(self.n):
-            nu = transform_observable(tableau, PauliString.single(self.n, j, 3))
-            if nu.weight > 1:
-                mz += state.expect_pauli(nu)
-                continue
-            (site,) = nu.support  # images of distinct Z_j never share a site
-            letters[site], signs[site] = nu.letter(site), nu.sign
-        mz += float(np.dot(signs, state.expect_local(letters)))
-        return mz / self.n
+        return float(np.dot(np.ones(self.n), state.expect_local([3] * self.n))) / self.n
 
     def reference(self, m: int) -> tuple:
         return (analytic_magnetization(self.epsilon, m),)
@@ -268,10 +266,7 @@ def dense_oracle_run(n: int, blocks, bits, observable: PauliString | None = None
     Returns the final vector, or the real observable expectation when one
     is given.  ``bits`` must hold one initial bit per qubit.
     """
-    bits = basis_bits(bits)
-    if len(bits) != n:
-        raise ValueError(f"{len(bits)} initial bits given for n={n} qubits")
-    state = run_blocks(blocks, bits)
+    state = run_blocks(blocks, basis_bits(bits, n))
     if observable is None:
         return state
     val = dense_expectation(state, observable)

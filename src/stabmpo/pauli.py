@@ -82,9 +82,11 @@ def _angle(value, what: str) -> float:
     return float(value)
 
 
-def basis_bits(bits) -> list[int]:
-    """Computational-basis labels as ints; each raw value must equal 0 or 1."""
+def basis_bits(bits, n: int | None = None) -> list[int]:
+    """Computational-basis labels as ints, each raw value 0 or 1; n of them if given."""
     bits = list(bits)
+    if n is not None and len(bits) != n:
+        raise ValueError(f"{len(bits)} initial bits given for n={n} qubits")
     for b in bits:
         if b not in (0, 1):  # int() would read 2 and -1 as 1, and 0.7 as 0
             raise ValueError(f"initial bit {b!r} is not 0 or 1")
@@ -150,6 +152,8 @@ class PauliString:
         The optional prefix is one of +, -, +i, -i (ASCII or Unicode minus)
         and applies to the plain letter product.
         """
+        if not isinstance(text, str):  # 5 would leak AttributeError from strip
+            raise ValueError(f"Pauli literal must be a str, got {text!r}")
         s = text.strip().replace("−", "-")
         i = 0
         prefix = ""

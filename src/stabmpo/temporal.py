@@ -17,7 +17,7 @@ from math import ceil
 import numpy as np
 
 from .circuit import _LAYER_SITES
-from .circuit import Contraction, StabMpoCircuit, letter_table, transform_observable
+from .circuit import Contraction, StabMpoCircuit, letter_table, pull_back
 from .mps import Mps, TruncationPolicy, diagonal_mpo, inner, window_mpo
 from .pauli import SIGMA, PauliString, basis_bits
 
@@ -70,9 +70,13 @@ def _chain_policy(policy: TruncationPolicy) -> TruncationPolicy:
     return replace(policy, svd_cutoff=policy.svd_cutoff**2)
 
 
-def _observable_letters(circuit: StabMpoCircuit, observable: PauliString):
-    nu = transform_observable(circuit.residual, observable)
-    return nu, float(nu.sign)
+def _folded_value(res: Contraction, closure: Mps, chain: Mps, sign: int) -> Contraction:
+    """``res`` with its value sign <closure|chain>, which must be real."""
+    value = sign * inner(closure, chain)
+    if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
+        raise ValueError(f"folded expectation has imaginary residual {value.imag}")
+    res.value = float(value.real)
+    return res
 
 
 # ----------------------------------------------------------------------
@@ -92,9 +96,7 @@ def vertical_fold_evolve(
     the pulled-back observable components reproduces the layer-evolved
     expectation.  The train is cut on amplitude (``_chain_policy``).
     """
-    bits = basis_bits(bits)
-    if len(bits) != circuit.n:
-        raise ValueError("initial state length mismatch")
+    nu, bits = pull_back(circuit, observable), basis_bits(bits, circuit.n)
     # sites 2 v_bit: the selected component is the value itself, with no
     # factor 2^n, which is no float from n = 1024 on
     y = Mps.from_site_vectors([2 * computational_pauli_vector(b) for b in bits])
@@ -107,12 +109,8 @@ def vertical_fold_evolve(
         if res.record(y, err):
             return res
 
-    nu, sign = _observable_letters(circuit, observable)
-    value = sign * inner(Mps.from_site_vectors(np.eye(4)[list(nu.letters())]), y)
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
-        raise ValueError(f"folded expectation has imaginary residual {value.imag}")
-    res.value = float(value.real)
-    return res
+    closure = Mps.from_site_vectors(np.eye(4)[list(nu.letters())])
+    return _folded_value(res, closure, y, nu.sign)
 
 
 # ----------------------------------------------------------------------
@@ -141,13 +139,10 @@ def horizontal_contract(
     whose layer letters are all I is the scalar 2 v_bit[nu_j] (1, +-1 or 0).
     The chain is cut on amplitude (``_chain_policy``).
     """
+    nu, bits = pull_back(circuit, observable), basis_bits(bits, circuit.n)
     if circuit.m == 0:
         value = vertical_fold_evolve(circuit, observable, bits, policy).value
         return Contraction(value, [0.0] * circuit.n, [0.0] * circuit.n)
-    bits = basis_bits(bits)
-    if len(bits) != circuit.n:
-        raise ValueError("initial state length mismatch")
-    nu, sign = _observable_letters(circuit, observable)
     policy = _chain_policy(policy)  # after the m = 0 fold, which squares its own
 
     coeffs = (folded_coefficients(l.phi0, l.phi1) for l in circuit.layers)
@@ -169,9 +164,5 @@ def horizontal_contract(
             return res
 
     closure = Mps.from_site_vectors(np.ones(4) for _ in range(circuit.m))
-    value = sign * inner(closure, chain)
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
-        raise ValueError(f"horizontal expectation has imaginary residual {value.imag}")
-    res.value = float(value.real)
-    return res
+    return _folded_value(res, closure, chain, nu.sign)
 

@@ -151,6 +151,16 @@ def test_temporal_subcommand_emits_csv(tmp_path):
     assert (tmp_path / "run" / "temporal.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["tdoped", "temporal"])
+def test_temporal_sweep_has_no_flag(command, tmp_path):
+    # the temporal subcommand and the run_temporal key are its two switches
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--temporal", "--n", "4", "--m", "1", "--chi", "4",
+              "--realizations", "1", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_compile_subcommand_roundtrip(tmp_path):
     out = tmp_path / "circ.stabmpo"
     code = main(

@@ -6,7 +6,7 @@ from math import cos, pi, sqrt
 import numpy as np
 import pytest
 
-from conftest import random_clifford_circuit, random_mps
+from conftest import random_mps
 from stabmpo.circuit import (
     StabMpoCompiler,
     compile_blocks,
@@ -244,21 +244,40 @@ def test_floquet_mean_tracks_analytic_small():
 
 
 def test_floquet_measure_matches_expect_pauli_for_every_pullback():
-    # U(1) Cliffords pull each Z_j back to a single-site string (one local
-    # pass); generic ones give longer strings (expect_pauli)
+    # U(1) Cliffords pull each Z_j back to +Z at a permuted site, so the
+    # study reads <Z> on every site in one local pass
     rng = np.random.default_rng(32)
     for n in (3, 6, 9):
         cfg = FloquetConfig(n=n)
         state = random_mps(rng, n).move_center(int(rng.integers(n)))
-        for circ in (sample_u1_clifford(n, rng), random_clifford_circuit(rng, n, 3 * n)):
-            comp = StabMpoCompiler(n)
+        comp = StabMpoCompiler(n)
+        comp.push_clifford(sample_u1_clifford(n, rng))
+        pulled = [
+            transform_observable(comp.tableau, PauliString.single(n, j, 3))
+            for j in range(n)
+        ]
+        want = np.mean([state.expect_pauli(nu) for nu in pulled])
+        assert abs(cfg.measure(state, comp.tableau) - want) < 1e-12
+
+
+def test_floquet_cliffords_pull_every_z_back_to_a_permuted_plus_z():
+    # the premise of FloquetConfig.measure, for the product of every period
+    # so far, not only a single sampled Clifford
+    for n, seed in ((3, 1), (6, 2), (9, 3)):
+        blocks = sample_floquet_blocks(n, 0.1, 5, np.random.default_rng(seed))
+        comp = StabMpoCompiler(n)
+        for k, (circ, rot) in enumerate(blocks, start=1):
             comp.push_clifford(circ)
-            pulled = [
-                transform_observable(comp.tableau, PauliString.single(n, j, 3))
-                for j in range(n)
-            ]
-            want = np.mean([state.expect_pauli(nu) for nu in pulled])
-            assert abs(cfg.measure(state, comp.tableau) - want) < 1e-12
+            comp.push_rotation(rot)
+            if k % n:
+                continue
+            sites = []
+            for j in range(n):
+                nu = transform_observable(comp.tableau, PauliString.single(n, j, 3))
+                assert nu.weight == 1 and nu.sign == 1, (k, j, nu)
+                sites.append(nu.support[0])
+                assert nu.letter(sites[-1]) == 3, (k, j, nu)
+            assert sorted(sites) == list(range(n))
 
 
 def test_meta_writes_numpy_scalars_as_plain_values(tmp_path):
@@ -269,7 +288,42 @@ def test_meta_writes_numpy_scalars_as_plain_values(tmp_path):
     assert "epsilon=0.25" in meta and "chi=8" in meta
 
 
+_BAD_FIELDS = [
+    (TDopedConfig, "n", 4.0),
+    (TDopedConfig, "m_layers", 2.5),
+    (TDopedConfig, "depth_d", True),
+    (TDopedConfig, "chi", 2.5),
+    (TDopedConfig, "realizations", 2.5),
+    (TDopedConfig, "realizations", True),
+    (TDopedConfig, "seed", 1.5),
+    (TDopedConfig, "observable", 5),
+    (TDopedConfig, "run_baseline", 1),
+    (TDopedConfig, "run_temporal", "yes"),
+    (FloquetConfig, "n", 2.5),
+    (FloquetConfig, "periods", 1.5),
+    (FloquetConfig, "chi", True),
+    (FloquetConfig, "realizations", 2.5),
+    (FloquetConfig, "seed", 1.5),
+]
+
+
+@pytest.mark.parametrize("cls, key, value", _BAD_FIELDS)
+def test_every_config_field_follows_the_rule_of_its_type(cls, key, value):
+    # min(...) < 1 let these through to range() or numpy, into a message
+    # about a site, or ran a bool as 1; epsilon's angle rule is checked with
+    # the rotation angles
+    with pytest.raises(ValueError, match=rf"^{key}\b"):
+        cls(**{key: value}).validate()
+    if cls is TDopedConfig and key in ("n", "m_layers", "depth_d", "seed"):
+        with pytest.raises(ValueError, match=rf"^{key}\b"):
+            cls(**{key: value}).validate_circuit()
+    default = getattr(cls(), key)
+    if type(default) is int:  # numpy ints stay accepted
+        cls(**{key: np.int64(default)}).validate()
+
+
 def test_floquet_config_validation():
+    FloquetConfig(epsilon=np.float64(0.25), n=np.int64(4)).validate()
     with pytest.raises(ValueError):
         FloquetConfig(epsilon=2.0).validate()
     with pytest.raises(ValueError):

@@ -137,6 +137,8 @@ def test_literal_roundtrip_and_prefixes():
         PauliString.from_literal("AB")
     with pytest.raises(ValueError):
         PauliString.from_literal("++X")
+    with pytest.raises(ValueError, match="got 5"):  # used to leak AttributeError
+        PauliString.from_literal(5)
 
 
 def test_sign_of_hermitian_strings():

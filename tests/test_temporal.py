@@ -346,6 +346,37 @@ def test_initial_bits_other_than_zero_one_rejected(entry, bad):
             Mps.product_state(bits)
 
 
+@pytest.mark.parametrize(
+    "entry, case",
+    [("layer", "non-hermitian"), ("layer", "length"),
+     ("vertical", "non-hermitian"), ("vertical", "length"), ("vertical", "bits"),
+     ("horizontal", "non-hermitian"), ("horizontal", "length"), ("horizontal", "bits")],
+)
+def test_contractions_check_their_input_before_any_layer(entry, case, monkeypatch):
+    # the vertical fold used to evolve the whole train, and layer evolution
+    # every layer, before a bad observable raised
+    n = 3
+    circ = compile_blocks(n, sample_tdoped_blocks(n, 2, 1, np.random.default_rng(75)))
+    obs, bits = PauliString.single(n, 0, 3), [0] * n
+    if case == "non-hermitian":
+        obs, message = PauliString.from_literal("iZII"), "Hermitian"
+    elif case == "length":
+        obs, message = PauliString.single(n + 1, 0, 3), "length mismatch"
+    else:
+        bits, message = [0] * (n + 1), "initial"
+    psi0 = Mps.product_state([0] * n)
+
+    def no_layer(*args):
+        raise AssertionError("a layer was applied before the input was checked")
+
+    monkeypatch.setattr(Mps, "apply_mpo", no_layer)
+    contract = {"layer": lambda: expectation(psi0, circ, obs, EXACT),
+                "vertical": lambda: vertical_fold_evolve(circ, obs, bits, EXACT),
+                "horizontal": lambda: horizontal_contract(circ, obs, bits, EXACT)}
+    with pytest.raises(ValueError, match=message):
+        contract[entry]()
+
+
 @pytest.mark.parametrize("bit", [0, 1])
 def test_single_qubit_three_ways_match_dense(bit):
     h = CliffordCircuit(1, (Gate("H", (0,)),))
