@@ -30,6 +30,7 @@ import numpy as np
 from .pauli import ORACLE_CAP, SIGMA, OracleCapError, PauliString, _index, basis_bits
 
 ZERO_NORM_THRESHOLD = 1e-12
+FULL_CUT_FLOOR = 1e-15  # above the ~1e-16 tr rho rounding of a swept rho's eigenvalues
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,11 @@ class TruncationPolicy:
     weight s_i^2 / sum_j s_j^2 falls below ``svd_cutoff`` are dropped.  A
     step compresses the cuts it sweeps, and it does not sweep a full cut
     (``Mps.apply_mpo``): there the cap cannot bind and the cutoff is not
-    applied.  The reported discarded weight is the loss of the swept cuts.
+    applied.  A cut that the step leaves at full size, min(prod d left,
+    prod d right) <= ``chi_max``, keeps every weight when all of them lie
+    above the rounding floor min(1e-15, ``svd_cutoff``), so it stays full;
+    otherwise it is cut at ``svd_cutoff`` as any other.  The reported
+    discarded weight is the loss of the swept cuts.
     The vertical fold and the horizontal sweep are linear in their chains, so
     a dropped weight w moves their value by up to sqrt(w): they cut their
     chains on amplitude, at weight ``svd_cutoff**2``.
@@ -228,7 +233,9 @@ class Mps:
         tensors, never merged: ``_flank_env`` walks each into <L|W|L> (<R|W|R>)
         from W alone, since its sites are δ; ``_fold`` takes it, with W, into the
         boundary site of the core [i_l, i_r - 1], whose inner sites are merged
-        with W.  Only the core is swept, and i_r - 1 ends as center.
+        with W.  Only the core is swept, and i_r - 1 ends as center; a cut
+        that the sweep leaves at full size (``_full_size``) keeps every weight
+        above min(``FULL_CUT_FLOOR``, svd_cutoff), so the next step folds it.
         A scalar s (``window_mpo`` with no window) puts its phase on the
         center and log|s| into ``log_norm``; |s| < ``ZERO_NORM_THRESHOLD`` is
         multiplied in whole and marks the state zero.  Returns the state and
@@ -272,12 +279,15 @@ class Mps:
             else:
                 boundary = tensors[i_r - 1].transpose(2, 1, 0)
                 tensors[i_r - 1] = _fold(env, boundary, flank[-1]).transpose(2, 1, 0)
-        return self._sweep(tensors, i_l, i_r - 1, policy)
+        floor = None  # a cutoff at or below the floor (the folded chains') is kept
+        if policy.svd_cutoff > FULL_CUT_FLOOR:
+            floor = TruncationPolicy(policy.chi_max, FULL_CUT_FLOOR)
+        return self._sweep(tensors, i_l, i_r - 1, policy, floor)
 
     # ------------------------------------------------------------------
     # compression
     # ------------------------------------------------------------------
-    def _sweep(self, tensors, lo: int, hi: int, policy) -> tuple["Mps", float]:
+    def _sweep(self, tensors, lo: int, hi: int, policy, floor=None) -> tuple["Mps", float]:
         """Compress [lo, hi] by reduced density matrices; ``hi`` ends as center.
 
         Sites left of ``lo`` must be left- and right of ``hi`` right-isometric.
@@ -290,7 +300,11 @@ class Mps:
         about 1e-16·tr ρ (below the default cutoff).  Where the policy keeps
         all of them, certified by ``_keeps_every_weight`` or found by
         ``eigh``, the split is a gauge step: the shared identity (Q) is the
-        site and T (R) the carry, exact since U U† = I.
+        site and T (R) the carry, exact since U U† = I.  With a ``floor``
+        policy, a ρ as large as its cut's full size (``_full_size``) and no
+        larger than chi_max is certified against the floor's cutoff instead,
+        so a cut left at full size stays full unless a weight lies below the
+        floor; a failed certificate takes ``eigh`` at ``policy`` as any split.
         Otherwise the top k eigenvectors U_k make the site (Q U_k); the carry
         U_k† T (U_k† R) is the exact projection, so the summed discarded
         weight returned is the loss of this sweep.  The center ``hi`` ends
@@ -317,7 +331,8 @@ class Mps:
             te = t if env is None else np.dot(t, env)
             rho = np.dot(te, t.conj().T)
             k = len(rho)
-            if not _keeps_every_weight(rho, policy):
+            full = floor is not None and k <= policy.chi_max and k == _full_size(tensors, i + 1, k)
+            if not _keeps_every_weight(rho, floor if full else policy):
                 w, v = np.linalg.eigh(rho)
                 k, err = _truncate_spectrum(np.clip(w[::-1], 0.0, None), policy)
                 total_err += err
@@ -446,6 +461,18 @@ def _full_cuts(tensors, chi_max: int) -> tuple[int, int]:
         right -= 1
         size *= tensors[right - 1].shape[1]
     return left, right
+
+
+def _full_size(tensors, cut: int, chi_max: int) -> int:
+    """min(prod d left of ``cut``, prod d right of it), capped at chi_max + 1:
+    each product stops there, so it takes O(log chi_max) steps at any n."""
+    left, j = 1, 0
+    while left <= chi_max and j < cut:
+        left, j = left * tensors[j].shape[1], j + 1
+    right, j = 1, len(tensors)
+    while right <= chi_max and j > cut:
+        right, j = right * tensors[j - 1].shape[1], j - 1
+    return min(left, right, chi_max + 1)
 
 
 def _flank_env(ops, bond: int) -> np.ndarray:

@@ -1085,6 +1085,118 @@ def test_zero_cutoff_keeps_zero_weights_without_eigh(eigh_sizes):
 
 
 # ----------------------------------------------------------------------
+# the full-size rule: a cut that a step leaves full keeps every weight above
+# the floor min(FULL_CUT_FLOOR, svd_cutoff)
+# ----------------------------------------------------------------------
+def tiny_step(rng) -> tuple[Mps, StabMpoLayer, float]:
+    """Six qubits of Schmidt rank 7 at cut 3 (bond 7, below its full size 8),
+    a layer of angle 1e-6 that makes the cut full, and the eighth weight that
+    the layer adds there (relative, from the dense SVD)."""
+    state, _ = schmidt_state(rng, np.array([0.0]))
+    state, _ = compress(state, TruncationPolicy(chi_max=64))
+    assert state.bond_dims == (1, 2, 4, 7, 4, 2, 1)
+    layer = StabMpoLayer(PauliString.from_literal("XYZXYZ"), 1e-6)
+    w = dense_cut_weights(layer.to_dense() @ state.to_dense(), 3)
+    return state, layer, w[-1] / np.sum(w)
+
+
+def test_step_that_fills_a_cut_keeps_its_tail_above_the_floor(eigh_sizes):
+    rng = np.random.default_rng(101)
+    state, layer, tail = tiny_step(rng)
+    assert 1e-15 < tail < 1e-13  # below svd_cutoff, above the floor
+    for center in range(6):
+        before = state.move_center(center)
+        eigh_sizes.clear()
+        out, reported = apply_layer(before, layer, TruncationPolicy(chi_max=64))
+        assert out.bond_dims == (1, 2, 4, 8, 4, 2, 1) and reported == 0.0, center
+        assert 8 not in eigh_sizes  # certified at the floor
+        want = layer.to_dense() @ before.to_dense()
+        assert np.max(np.abs(out.to_dense() - want)) < 1e-12
+        assert_canonical(out)
+
+
+def test_full_size_cut_gets_one_bond_whether_full_before_or_during_a_step():
+    # the same state tiny^2 |psi>: from a network full at cut 3, whose step
+    # folds that cut, and from the rank-7 state, where the first step fills it
+    rng = np.random.default_rng(102)
+    state, layer, _ = tiny_step(rng)
+    policy = TruncationPolicy(chi_max=64)
+    full = dense_to_mps(layer.to_dense() @ state.to_dense(), 6)
+    assert full.bond_dims == (1, 2, 4, 8, 4, 2, 1)
+    folded, folded_err = apply_layer(full, layer, policy)
+    filled, errs = state, []
+    for _ in range(2):
+        filled, err = apply_layer(filled, layer, policy)
+        errs.append(err)
+    assert filled.bond_dims == folded.bond_dims == full.bond_dims
+    assert errs == [0.0, 0.0] and folded_err == 0.0
+    assert np.max(np.abs(filled.to_dense() - folded.to_dense())) < 1e-12
+
+
+def test_step_bonds_equal_the_dense_schmidt_rank(monkeypatch):
+    # generic Pauli layers leave exact zeros at cuts of full-size rho: the
+    # floor's certificate fails there and the cutoff cuts them
+    floor_checks = []
+
+    def counted(rho, policy, keeps=mps_module._keeps_every_weight):
+        kept = keeps(rho, policy)
+        if policy.svd_cutoff == mps_module.FULL_CUT_FLOOR:
+            floor_checks.append(kept)
+        return kept
+
+    monkeypatch.setattr(mps_module, "_keeps_every_weight", counted)
+    rng = np.random.default_rng(104)
+    n = 6
+    for _ in range(4):
+        state = Mps.product_state([0] * n)
+        for _ in range(4):
+            gamma = PauliString.from_letters([int(rng.integers(4)) for _ in range(n)])
+            before = state.move_center(int(rng.integers(n)))
+            state, _ = apply_layer(before, StabMpoLayer(gamma, 0.35), TruncationPolicy(64))
+            assert list(state.bond_dims) == dense_ranks(state.to_dense(), 2, n)
+    assert False in floor_checks, "no full-size split held an exact zero"
+
+
+def test_compress_cuts_a_full_size_cut_at_svd_cutoff():
+    # criterion 8's sweep takes no floor: the tail that a step keeps is cut
+    rng = np.random.default_rng(102)
+    state, layer, tail = tiny_step(rng)
+    full = dense_to_mps(layer.to_dense() @ state.to_dense(), 6)
+    out, err = compress(full, TruncationPolicy(chi_max=64))
+    assert out.bond_dims == (1, 2, 4, 7, 4, 2, 1)
+    assert abs(err - tail) < 1e-16
+
+
+class ReadSites(list):
+    """A site list that records each index read."""
+
+    def __init__(self, sites):
+        super().__init__(sites)
+        self.read = []
+
+    def __getitem__(self, j):
+        self.read.append(j)
+        return super().__getitem__(j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 1024])
+def test_full_size_is_the_smaller_side_capped_past_chi_max(n):
+    rng = np.random.default_rng([106, n])
+    for _ in range(3):
+        dims = [int(d) for d in rng.choice([2, 4], size=n)]
+        left = [1]
+        for d in dims:
+            left.append(left[-1] * d)  # exact: Python ints
+        for chi_max in (1, 3, 4, 16, 63, 64, 1000):
+            sites = ReadSites(np.zeros((1, d, 1)) for d in dims)
+            for cut in range(n + 1):
+                brute = min(left[cut], left[n] // left[cut], chi_max + 1)
+                assert mps_module._full_size(sites, cut, chi_max) == brute, (dims, cut)
+            # each product stops past chi_max: at most log2(chi_max) + 1 sites a side
+            assert len(sites.read) <= (n + 1) * 2 * (chi_max.bit_length() + 1)
+
+
+# ----------------------------------------------------------------------
 # entropy / expectation / overlap
 # ----------------------------------------------------------------------
 def test_entropy_ghz():

@@ -20,7 +20,7 @@ from stabmpo.clifford import CliffordCircuit, CliffordTableau, Gate
 from stabmpo.harness import dense_oracle_run, realization_rng, sample_tdoped_blocks
 from stabmpo.mps import Mps, TruncationPolicy, cap_mpo, inner, window_mpo
 from stabmpo.pauli import SIGMA, PauliString, pauli_coefficient
-from stabmpo import temporal
+from stabmpo import mps as mps_module, temporal
 from stabmpo.temporal import (
     _FOLDED_COLUMNS,
     _FOLDED_ROWS,
@@ -185,6 +185,26 @@ def test_vertical_matches_layer_evolution():
         ref = expectation(Mps.product_state(bits), compiled, obs, EXACT).value
         got = vertical_fold_evolve(compiled, obs, bits, EXACT)
         assert got.value == pytest.approx(ref, abs=1e-8)
+
+
+def test_folded_chains_certify_every_split_at_their_own_cutoff(monkeypatch):
+    # the chains are cut at svd_cutoff**2 = 1e-24, below the full-size floor
+    # of 1e-15, so no split of either fold is certified at a raised cutoff
+    cutoffs = []
+
+    def counted(rho, policy, keeps=mps_module._keeps_every_weight):
+        cutoffs.append(policy.svd_cutoff)
+        return keeps(rho, policy)
+
+    monkeypatch.setattr(mps_module, "_keeps_every_weight", counted)
+    rng = np.random.default_rng(79)
+    n = 6
+    compiled = compile_blocks(n, sample_tdoped_blocks(n, 6, 1, rng))
+    obs = compiled.residual.conjugate(PauliString.single(n, 2, 3), "forward")
+    for fold in (vertical_fold_evolve, horizontal_contract):
+        cutoffs.clear()
+        fold(compiled, obs, [0] * n, EXACT)
+        assert cutoffs and set(cutoffs) == {temporal._chain_policy(EXACT).svd_cutoff}
 
 
 def test_vertical_zero_angles_leave_coefficients_fixed():
