@@ -233,14 +233,17 @@ def apply_layer(
     """Apply one layer to an MPS: phi0 |m> + phi1 P|m>, then compressed.
 
     Only the support window of gamma gets operator tensors; an identity-
-    string layer is the global phase phi0 + phi1 and costs nothing.  Returns
-    the new state and the discarded relative Schmidt weight.
+    string layer is the global phase phi0 + phi1 and costs nothing.  The
+    letters and angles go along, so a full-cut flank folds as P's signed
+    permutation.  Returns the new state and the discarded relative Schmidt
+    weight.
     """
     if layer.gamma.n != m.n:
         raise ValueError("length mismatch")
     letters = letter_table([layer.gamma], m.n)[0]
-    ops = window_mpo(letters, _LAYER_SITES, [layer.phi0, layer.phi1], np.ones(2))
-    return m.apply_mpo(ops, policy)
+    phis = (layer.phi0, layer.phi1)
+    ops = window_mpo(letters, _LAYER_SITES, phis, np.ones(2))
+    return m.apply_mpo(ops, policy, _pauli=(letters, phis))
 
 
 @dataclass

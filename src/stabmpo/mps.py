@@ -193,14 +193,25 @@ class Mps:
     # local operations
     # ------------------------------------------------------------------
     def apply_1q_gate(self, u: np.ndarray, site: int) -> "Mps":
-        """Apply a 2x2 unitary on ``site`` as a bond-1 ``apply_mpo`` window;
-        the center ends at ``site``."""
+        """Apply a 2x2 unitary on ``site``.
+
+        A one-site unitary keeps an isometric site isometric, so on the
+        center or a non-square isometric site (which is not δ) it is applied
+        in place and the center stays.  A square isometric site is δ, which
+        that would break, so there the gate is a bond-1 ``apply_mpo`` window
+        and the center ends at ``site``.
+        """
         site = _index(site, 0, self.n - 1, "gate site")
         u = np.asarray(u, dtype=np.complex128)
         if u.shape != (2, 2):
             raise ValueError("1q gate must be 2x2")
         if not _is_unitary(u):
             raise ValueError("gate is not unitary to 1e-10")
+        dl, d, dr = self.tensors[site].shape
+        if site == self.center or (dl * d != dr if site < self.center else dl != d * dr):
+            tensors = list(self.tensors)
+            tensors[site] = np.matmul(u, tensors[site])  # u on the physical index
+            return Mps._canonical(tensors, self.log_norm, self.center, self.is_zero)
         ops = [None] * self.n
         ops[site] = u[None, :, :, None]
         return self.apply_mpo(ops, TruncationPolicy(1))[0]  # one site: no cut to sweep
@@ -218,7 +229,7 @@ class Mps:
         return self.apply_mpo(ops, policy)
 
     def apply_mpo(
-        self, ops: list[np.ndarray | None] | complex, policy: TruncationPolicy
+        self, ops: list[np.ndarray | None] | complex, policy: TruncationPolicy, *, _pauli=None
     ) -> tuple["Mps", float]:
         """Apply a matrix-product operator, then compress its core.
 
@@ -230,12 +241,13 @@ class Mps:
         the first right-full cut in (lo, hi] or hi + 1, the center moves to
         min(max(center, lo), i_r - 1); i_l is the last left-full cut in
         (lo, center] or lo.  The flanks left of i_l and from i_r on keep their
-        tensors, never merged: ``_flank_env`` walks each into <L|W|L> (<R|W|R>)
-        from W alone, since its sites are δ; ``_fold`` takes it, with W, into the
-        boundary site of the core [i_l, i_r - 1], whose inner sites are merged
+        tensors, never merged, and ``_fold_flanks`` folds them into the
+        boundary sites of the core [i_l, i_r - 1], whose inner sites are merged
         with W.  Only the core is swept, and i_r - 1 ends as center; a cut
         that the sweep leaves at full size (``_full_size``) keeps every weight
         above min(``FULL_CUT_FLOOR``, svd_cutoff), so the next step folds it.
+        ``circuit.apply_layer`` passes ``_pauli`` = (letters, (phi0, phi1)) of
+        its rotation phi0 I + phi1 P, whose ``ops`` are the layer's window.
         A scalar s (``window_mpo`` with no window) puts its phase on the
         center and log|s| into ``log_norm``; |s| < ``ZERO_NORM_THRESHOLD`` is
         multiplied in whole and marks the state zero.  Returns the state and
@@ -266,19 +278,7 @@ class Mps:
             merged = np.dot(op, tensors[j].transpose(1, 0, 2).reshape(i, -1))
             merged = merged.reshape(wl, o, wr, bl, br).transpose(0, 3, 1, 2, 4)
             tensors[j] = merged.reshape(wl * bl, o, wr * br)
-        if i_l > lo:  # the core's boundary sites are not merged
-            flank = [_site_op(ops[j], tensors[j]) for j in range(lo, i_l + 1)]
-            env = _flank_env(flank[:-1], tensors[lo].shape[0])
-            tensors[i_l] = _fold(env, tensors[i_l], flank[-1])
-        if i_r <= hi:  # the right flank and i_r - 1 mirrored: bonds swapped
-            span = range(hi, i_r - 2, -1)
-            flank = [_site_op(ops[j], tensors[j]).transpose(3, 1, 2, 0) for j in span]
-            env = _flank_env(flank[:-1], tensors[hi].shape[2])
-            if i_r - 1 == i_l > lo:  # a one-site core with both flanks: (v b') -> a
-                tensors[i_l] = _absorb_right(tensors[i_l], env.T.reshape(-1, len(env)))
-            else:
-                boundary = tensors[i_r - 1].transpose(2, 1, 0)
-                tensors[i_r - 1] = _fold(env, boundary, flank[-1]).transpose(2, 1, 0)
+        _fold_flanks(tensors, ops, (lo, i_l, i_r, hi), _pauli)
         floor = None  # a cutoff at or below the floor (the folded chains') is kept
         if policy.svd_cutoff > FULL_CUT_FLOOR:
             floor = TruncationPolicy(policy.chi_max, FULL_CUT_FLOOR)
@@ -475,6 +475,51 @@ def _full_size(tensors, cut: int, chi_max: int) -> int:
     return min(left, right, chi_max + 1)
 
 
+def _fold_flanks(tensors, ops, bounds, pauli) -> None:
+    """Fold the flanks [lo, i_l) and [i_r, hi] into the core's boundary sites.
+
+    ``bounds`` is (lo, i_l, i_r, hi).  A flank's sites are δ, so its
+    <L|W|L> (<R|W|R>) is F[a, b, w] from W alone (``_flank_env``), and
+    ``_fold`` takes F A, with W, into the boundary site.  A Pauli rotation
+    (``pauli`` = letters, (phi0, phi1)) has F[:, :, w] = phi_w P_w, P_0 = I
+    and P_1 a signed permutation (``_pauli_gather``), so F A is a gather;
+    for a one-site core with both flanks the whole step is
+    phi0 psi + phi1 P psi, one gather over the core site.  A bond index puts
+    the site nearest its cut lowest and the bond beyond the flank highest.
+    """
+    lo, i_l, i_r, hi = bounds
+    if pauli is not None and i_r - 1 == i_l > lo and i_r <= hi:
+        (letters, (phi0, phi1)), t = pauli, tensors[i_l]
+        # the left bond and s hold the digits lo..i_l, the right bond those of
+        # i_r..hi below its own outer bond: the masks are composed per part
+        (xl, zl), (xr, zr) = _pauli_bits(letters[lo : i_l + 1]), _pauli_bits(letters[hi:i_l:-1])
+        br, flat = t.shape[2], t.reshape(-1)
+        index, phase = _pauli_gather(xl * br + xr, zl * br + zr, t.size, phi1)
+        tensors[i_l] = (phi0 * flat + phase * flat[index]).reshape(t.shape)
+        return
+    if i_l > lo:  # the core's boundary sites are not merged
+        a = tensors[i_l]
+        if pauli is None:
+            flank = [_site_op(ops[j], tensors[j]) for j in range(lo, i_l)]
+            fa = _env_dot(_flank_env(flank, tensors[lo].shape[0]), a)
+        else:
+            fa = _pauli_dot(a, pauli[0][lo:i_l], pauli[1])
+        tensors[i_l] = _fold(fa, _site_op(ops[i_l], a))
+    if i_r <= hi:  # the right flank and i_r - 1 mirrored: bonds swapped
+        b = i_r - 1
+        if pauli is not None:  # the right cap is ones
+            fa = _pauli_dot(tensors[b].transpose(2, 1, 0), pauli[0][hi:b:-1], (1.0, 1.0))
+        else:
+            flank = [_site_op(ops[j], tensors[j]).transpose(3, 1, 2, 0) for j in range(hi, b, -1)]
+            env = _flank_env(flank, tensors[hi].shape[2])
+            if b == i_l > lo:  # a one-site core with both flanks: (v b') -> a
+                tensors[b] = _absorb_right(tensors[b], env.T.reshape(-1, len(env)))
+                return
+            fa = _env_dot(env, tensors[b].transpose(2, 1, 0))
+        w = _site_op(ops[b], tensors[b]).transpose(3, 1, 2, 0)
+        tensors[b] = _fold(fa, w).transpose(2, 1, 0)
+
+
 def _flank_env(ops, bond: int) -> np.ndarray:
     """<L|W|L> over a flank from its outer cut of size ``bond``, as F[a, b, w].
     The flank's sites are δ, so each adds W alone:
@@ -487,12 +532,61 @@ def _flank_env(ops, bond: int) -> np.ndarray:
     return env
 
 
-def _fold(env, a, w) -> np.ndarray:
-    """A boundary site A, (F A) over the bond, then W over (w, i): (a, o, (v b'))."""
-    (chi, b, wl), (_, i, br), (_, o, _, v) = env.shape, a.shape, w.shape
-    x = np.dot(env.transpose(0, 2, 1).reshape(-1, b), a.reshape(b, -1))  # (a w, i b')
+def _env_dot(env, a) -> np.ndarray:
+    """F A over a boundary site's flank bond, as (a, w, i, b')."""
+    (chi, b, wl), (_, i, br) = env.shape, a.shape
+    fa = np.dot(env.transpose(0, 2, 1).reshape(-1, b), a.reshape(b, -1))
+    return fa.reshape(chi, wl, i, br)
+
+
+def _fold(fa, w) -> np.ndarray:
+    """W over (w, i) of a boundary site's F A (a, w, i, b'): (a, o, (v b'))."""
+    (chi, wl, i, br), (_, o, _, v) = fa.shape, w.shape
     ops = w.transpose(1, 3, 0, 2).reshape(o * v, wl * i)
-    return np.matmul(ops, x.reshape(chi, wl * i, br)).reshape(chi, o, v * br)
+    return np.matmul(ops, fa.reshape(chi, wl * i, br)).reshape(chi, o, v * br)
+
+
+_X_BIT = (0, 1, 1, 0)  # letters 0 I, 1 X, 2 Y, 3 Z; the z bit is letter >> 1
+_MINUS_I_POWERS = (1, -1j, -1, 1j)
+
+
+def _pauli_bits(letters) -> tuple[int, int]:
+    """The x and z bits of a letter string, its first letter the highest digit."""
+    x = z = 0
+    for g in map(int, letters):
+        x, z = 2 * x + _X_BIT[g], 2 * z + (g >> 1)
+    return x, z
+
+
+def _pauli_gather(x: int, z: int, size: int, coef: complex) -> tuple[np.ndarray, np.ndarray]:
+    """``coef`` times the Pauli string of bits x, z on ``size`` basis states,
+    as a signed permutation: (coef P v)[a] = phase[a] v[a ^ x], with
+    phase = coef (-i)^#Y (-1)^|a & z| and #Y = |x & z|.  Products of ±1 and
+    ±i with coef are exact, so phase is exact."""
+    index = np.arange(size)
+    c = coef * _MINUS_I_POWERS[bin(x & z).count("1") % 4]
+    return index ^ x, np.array((c, -c))[_parities(z.bit_length())[index & z]]
+
+
+@lru_cache(maxsize=32)
+def _parities(bits: int) -> np.ndarray:
+    """|a| mod 2 for every a < 2^bits, folded by shift-XOR; read-only, shared."""
+    table, shift = np.arange(1 << bits), 1
+    while shift < bits:
+        shift *= 2
+    while shift > 1:
+        shift //= 2
+        table ^= table >> shift
+    table = (table & 1).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+def _pauli_dot(a, letters, phis) -> np.ndarray:
+    """F A of a Pauli flank (``letters`` from its outer site in) over a's first
+    bond: branch 0 phi0 A, branch 1 phi1 P A, as (a, 2, i, b')."""
+    index, phase = _pauli_gather(*_pauli_bits(letters), len(a), phis[1])
+    return np.stack((phis[0] * a, phase[:, None, None] * a[index]), axis=1)
 
 
 def _site_op(op, t: np.ndarray) -> np.ndarray:  # an idle site (None): the identity

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import circuit, temporal
-from .circuit import compile_blocks, expectation
+from .circuit import StabMpoLayer, compile_blocks, expectation
 from .clifford import (
     Brick,
     CliffordCircuit,
@@ -25,7 +25,7 @@ from .clifford import (
 from .dense import apply_circuit, apply_pauli, basis_state, circuit_unitary
 from .harness import apply_gates, dense_oracle_run, sample_tdoped_blocks
 from .harness import twirl_s_channel_check
-from .mps import Mps, TruncationPolicy, cap_mpo, diagonal_mpo
+from .mps import Mps, TruncationPolicy, cap_mpo, diagonal_mpo, window_mpo
 from .pauli import SIGMA, PauliString
 from .temporal import folded_coefficients, horizontal_contract, vertical_fold_evolve
 
@@ -213,6 +213,34 @@ def _check_mps_exactness(rng) -> None:
     _require(abs(state.expect_pauli(p) - ref) < 1e-8, "MPS differs from dense")
 
 
+def _check_pauli_flank_fold(rng) -> None:
+    """A layer's flanks folded by gathers (``apply_layer``) against the same
+    window folded through its dense flank environment (``apply_mpo``).
+
+    n = 10 in the identity gauge, window [2, 7], center 6: full at every cut
+    the core is the one site 4, and with bonds capped at 16 it is [4, 5];
+    the bonds at both ends of the window are 4, above the flank digits.
+    """
+    n, lo, hi = 10, 2, 7
+    exact = TruncationPolicy(chi_max=2**n)
+    for cap in (2**n, 16):
+        bonds = [min(cap, 2**i, 2 ** (n - i)) for i in range(n + 1)]
+        shapes = [(a, 2, b) for a, b in zip(bonds, bonds[1:])]
+        tensors = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+        state = Mps(tensors).move_center(6)
+        for _ in range(4):  # X, Y and Z at random on every site of the window
+            letters = np.zeros(n, dtype=np.uint8)
+            letters[lo : hi + 1] = rng.integers(1, 4, size=hi - lo + 1)
+            layer = StabMpoLayer(PauliString.from_letters(letters.tolist()), 0.9)
+            gather, _ = circuit.apply_layer(state, layer, exact)
+            phis = [layer.phi0, layer.phi1]
+            ops = window_mpo(letters, circuit._LAYER_SITES, phis, np.ones(2))
+            dense, _ = state.apply_mpo(ops, exact)
+            want = dense.to_dense()
+            gap = np.linalg.norm(gather.to_dense() - want) / np.linalg.norm(want)
+            _require(gap <= 1e-14, f"gather fold differs from dense fold by {gap:.1e}")
+
+
 CHECKS = (
     ("pauli-group-law-vs-dense", _check_pauli_products),
     ("tableau-conjugation-vs-dense", _check_tableau_vs_dense),
@@ -223,6 +251,7 @@ CHECKS = (
     ("cross-method-expectation", _check_cross_methods),
     ("mps-gates-vs-dense", _check_mps_exactness),
     ("two-qubit-clifford-bricks-vs-dense", _check_bricks),
+    ("pauli-flank-fold", _check_pauli_flank_fold),
 )
 
 

@@ -10,7 +10,11 @@ there rounding picks the kept vectors, so its values move by O(1) under
 
 Regenerate the files (only when a numerical change is intended) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [study ...]
+
+Named studies (floquet, temporal, tdoped) are rewritten alone; with no name
+all three are.  A rewrite also records the host's rounding (up to about
+1e-11 on the Floquet entropies), so regenerate only the study that changed.
 """
 
 from __future__ import annotations
@@ -71,9 +75,10 @@ def study_tables(name: str, outdir: Path) -> dict[str, list[list]]:
     return tables
 
 
-def write_goldens() -> None:
+def write_goldens(names=tuple(STUDIES)) -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, (_, cfg) in STUDIES.items():
+    for name in names:
+        cfg = STUDIES[name][1]
         with tempfile.TemporaryDirectory() as tmp:
             tables = study_tables(name, Path(tmp))
         files = [  # one CSV row per line
@@ -108,5 +113,8 @@ def test_study_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
-    write_goldens()
+    unknown = sorted(set(sys.argv[1:]) - set(STUDIES))
+    if unknown:
+        sys.exit(f"unknown study {', '.join(unknown)}; choose from {', '.join(STUDIES)}")
+    write_goldens(sys.argv[1:] or tuple(STUDIES))
     sys.exit(0)

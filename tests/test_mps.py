@@ -1,5 +1,6 @@
 """Tensor-train engine against the dense statevector oracle."""
 
+from itertools import product
 from math import pi
 
 import numpy as np
@@ -762,10 +763,20 @@ def test_hand_canonical_networks_enter_in_the_identity_gauge(kind):
             assert np.linalg.norm(out.to_dense(16) - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def square_isometric(state: Mps, site: int) -> bool:
+    """``site`` is an isometric site (not the center) with a square matrix."""
+    dl, d, dr = state.tensors[site].shape
+    if site == state.center:
+        return False
+    return dl * d == dr if site < state.center else dl == d * dr
+
+
 def test_one_qubit_gates_keep_the_identity_gauge():
-    # a one-qubit gate is a bond-1 window: from every center, at every site of
-    # a state full at every cut, the center ends at the site in the identity
-    # gauge, and the state is the dense gate applied
+    # a one-qubit gate on a square isometric (δ) site is a bond-1 window: the
+    # center ends at the site; on the center or a non-square site it is
+    # applied in place and the center stays.  From every center, at every
+    # site of a state full at every cut, the identity gauge holds and the
+    # state is the dense gate applied
     rng = np.random.default_rng(110)
     n = 8
     state = Mps(full_network(rng, n, 2))
@@ -775,10 +786,34 @@ def test_one_qubit_gates_keep_the_identity_gauge():
             ops = [None] * n
             ops[site] = random_unitary(rng, 2)[None, :, :, None]
             out = before.apply_1q_gate(ops[site][0, :, :, 0], site)
-            assert out.center == site
+            assert out.center == (site if square_isometric(before, site) else center)
             assert_canonical(out)
             want = dense_apply(ops, before)
             assert np.linalg.norm(out.to_dense(16) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_one_qubit_gate_on_a_non_square_site_stays_in_place():
+    # bonds capped at 4: sites 2-5 are non-square wherever the center is, so a
+    # gate there leaves the center and every other tensor (the same arrays)
+    # where they were, and the site stays isometric
+    rng = np.random.default_rng(111)
+    n = 8
+    state = Mps(full_network(rng, n, 2, chi=4))
+    for center in range(n):
+        before = state.move_center(center)
+        for site in range(n):
+            u = random_unitary(rng, 2)
+            ops = [None] * n
+            ops[site] = u[None, :, :, None]
+            out = before.apply_1q_gate(u, site)
+            assert_canonical(out)
+            want = dense_apply(ops, before)
+            assert np.linalg.norm(out.to_dense(16) - want) <= 1e-12 * np.linalg.norm(want)
+            if square_isometric(before, site):
+                assert out.center == site and site in (0, 1, 6, 7)
+                continue
+            assert out.center == center and out.log_norm == before.log_norm
+            assert all(out.tensors[j] is before.tensors[j] for j in range(n) if j != site)
 
 
 @pytest.mark.parametrize("kind", ["layer", "row", "column"])
@@ -829,6 +864,79 @@ def test_one_site_core_and_idle_boundary_core_site_match_dense(kind):
             assert err < 1e-12 and out.center == core[1]
             assert_identity_gauge(out)
             assert np.linalg.norm(out.to_dense(16) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# ----------------------------------------------------------------------
+# the Pauli fold: a layer's full-cut flanks as signed permutations
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bond", [1, 2, 4])
+def test_pauli_flank_gather_is_the_dense_flank_fold(bond):
+    # every letter string of up to three flank sites, on an outer bond of 1, 2
+    # or 4 above the flank's digits: F A by the gather against F from W, for
+    # the left flank (capped by phi) and the mirrored right flank (by ones)
+    rng = np.random.default_rng(120 + bond)
+    for k in (1, 2, 3):
+        for letters in product(range(4), repeat=k):
+            phis = random_unitary(rng, 2)[0]
+            shape = (bond * 2**k, 2, 3)
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            sites = [_LAYER_SITES[g] for g in letters + (1,)]  # then the core site
+            left = cap_mpo(sites, phis, np.ones(2))[:-1]
+            want = mps_module._env_dot(mps_module._flank_env(left, bond), a)
+            got = mps_module._pauli_dot(a, letters, phis)
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), letters
+            # the right flank lists its sites from the outer one in, mirrored
+            right = cap_mpo(sites[::-1], phis, np.ones(2))[1:]
+            right = [w.transpose(3, 1, 2, 0) for w in right[::-1]]
+            want = mps_module._env_dot(mps_module._flank_env(right, bond), a)
+            got = mps_module._pauli_dot(a, letters, (1.0, 1.0))
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), letters
+
+
+# (bond cap of the state, window, centers, core): the flanks that apply_mpo
+# folds on n = 10, with the bonds at lo and hi + 1 above 1 in every case
+PAULI_FOLDS = {
+    "both-one-site": (None, (2, 7), range(4, 10), (4, 4)),
+    "both-two-site": (16, (2, 7), range(5, 10), (4, 5)),
+    "left-one-site": (16, (2, 4), range(4, 10), (4, 4)),
+    "left-two-site": (16, (2, 5), range(5, 10), (4, 5)),
+    "right-one-site": (16, (5, 7), range(0, 6), (5, 5)),
+    "right-two-site": (16, (4, 7), range(0, 5), (4, 5)),
+}
+
+
+@pytest.mark.parametrize("case", PAULI_FOLDS)
+def test_pauli_layer_fold_matches_the_dense_fold(case):
+    # a layer folds its full-cut flanks by gathers (apply_layer); the same
+    # window as a plain operator folds them through F (apply_mpo).  Every
+    # window has X, Y and Z at every site and random strings; the two states
+    # agree to rounding and match the dense layer
+    rng = np.random.default_rng(list(PAULI_FOLDS).index(case) + 130)
+    chi, (lo, hi), centers, core = PAULI_FOLDS[case]
+    n, exact = 10, TruncationPolicy(chi_max=2**10)
+    state = Mps(full_network(rng, n, 2, chi))
+    assert state.bond_dims[lo] > 1 and state.bond_dims[hi + 1] > 1
+    pad = [0] * lo, [0] * (n - 1 - hi)
+    layers = [
+        StabMpoLayer(PauliString.from_letters(pad[0] + [g] * (hi - lo + 1) + pad[1]), 0.7)
+        for g in (1, 2, 3)
+    ]
+    layers += [narrow_layer(rng, n, lo, hi) for _ in range(6)]
+    wants = [layer.to_dense(16) @ state.to_dense(16) for layer in layers]
+    for center in centers:
+        before = state.move_center(center)
+        assert documented_core(before, lo, hi, exact.chi_max) == core
+        for layer, exact_vec in zip(layers, wants):
+            letters = letter_table([layer.gamma], n)[0]
+            ops = window_mpo(letters, _LAYER_SITES, [layer.phi0, layer.phi1], np.ones(2))
+            dense, _ = before.apply_mpo(ops, exact)
+            got, err = apply_layer(before, layer, exact)
+            assert err == 0.0 and got.center == dense.center == core[1]
+            assert_identity_gauge(got)
+            want = dense.to_dense(16)
+            scale = np.linalg.norm(want)
+            assert np.linalg.norm(got.to_dense(16) - want) <= 1e-15 * scale, (center, layer)
+            assert np.linalg.norm(got.to_dense(16) - exact_vec) <= 1e-12 * scale
 
 
 def test_from_site_vectors_moves_the_scale_into_log_norm():
