@@ -9,9 +9,11 @@ about a full Pauli string:
 
 where gamma is the (signed) pull-back of the rotation axis through the
 Cliffords accumulated so far and the sign is absorbed into theta_eff.
-Layers are bond-2 diagonal operators, so applying one to an MPS is one
-bond-2 operator application followed by compression, both restricted to
-the support window of gamma (its first to last non-identity letter).
+A layer's two branches are the identity and the Pauli string, which acts
+on each site alone as a bit flip and a phase, so applying one to an MPS is
+phi0 |psi> + phi1 P|psi> (``Mps.apply_rotation``): one signed permutation
+per site, then compression, both restricted to the support window of gamma
+(its first to last non-identity letter).
 """
 
 from __future__ import annotations
@@ -22,14 +24,8 @@ from math import cos, inf, pi, sin
 import numpy as np
 
 from .clifford import CliffordCircuit, CliffordTableau, _naming_line, append_to_inverse
-from .mps import Mps, TruncationPolicy, diagonal_mpo, window_mpo
-from .pauli import ORACLE_CAP, SIGMA, PauliString, _angle, _index
-
-# _LAYER_SITES[g]: the uncapped bond-2 operator (I on branch 0, sigma^g on
-# branch 1) of a layer site with letter g; shared by every layer
-_LAYER_SITES = tuple(diagonal_mpo((SIGMA[0], SIGMA[g])) for g in range(4))
-for _site in _LAYER_SITES:
-    _site.setflags(write=False)
+from .mps import Mps, TruncationPolicy
+from .pauli import ORACLE_CAP, PauliString, _angle, _index
 
 
 @dataclass(frozen=True)
@@ -230,20 +226,12 @@ def pull_back(circuit: StabMpoCircuit, observable: PauliString) -> PauliString:
 def apply_layer(
     m: Mps, layer: StabMpoLayer, policy: TruncationPolicy
 ) -> tuple[Mps, float]:
-    """Apply one layer to an MPS: phi0 |m> + phi1 P|m>, then compressed.
-
-    Only the support window of gamma gets operator tensors; an identity-
-    string layer is the global phase phi0 + phi1 and costs nothing.  The
-    letters and angles go along, so a full-cut flank folds as P's signed
-    permutation.  Returns the new state and the discarded relative Schmidt
-    weight.
-    """
+    """phi0 |m> + phi1 P|m>, compressed (``Mps.apply_rotation``; an identity
+    string is the global phase phi0 + phi1): the new state and discarded weight."""
     if layer.gamma.n != m.n:
         raise ValueError("length mismatch")
     letters = letter_table([layer.gamma], m.n)[0]
-    phis = (layer.phi0, layer.phi1)
-    ops = window_mpo(letters, _LAYER_SITES, phis, np.ones(2))
-    return m.apply_mpo(ops, policy, _pauli=(letters, phis))
+    return m.apply_rotation(letters, (layer.phi0, layer.phi1), policy)
 
 
 @dataclass

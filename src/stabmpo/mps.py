@@ -229,7 +229,7 @@ class Mps:
         return self.apply_mpo(ops, policy)
 
     def apply_mpo(
-        self, ops: list[np.ndarray | None] | complex, policy: TruncationPolicy, *, _pauli=None
+        self, ops: list[np.ndarray | None] | complex, policy: TruncationPolicy
     ) -> tuple["Mps", float]:
         """Apply a matrix-product operator, then compress its core.
 
@@ -237,21 +237,17 @@ class Mps:
         None for an identity of bond 1; the non-None sites span [lo, hi], and
         the merged bonds put the operator bond major.  A full cut
         (``_full_cuts``) has a unitary basis L on its isometric side, so an
-        operator there is W L = L <L|W|L> and cannot grow the bond.  With i_r
-        the first right-full cut in (lo, hi] or hi + 1, the center moves to
-        min(max(center, lo), i_r - 1); i_l is the last left-full cut in
-        (lo, center] or lo.  The flanks left of i_l and from i_r on keep their
-        tensors, never merged, and ``_fold_flanks`` folds them into the
-        boundary sites of the core [i_l, i_r - 1], whose inner sites are merged
-        with W.  Only the core is swept, and i_r - 1 ends as center; a cut
-        that the sweep leaves at full size (``_full_size``) keeps every weight
-        above min(``FULL_CUT_FLOOR``, svd_cutoff), so the next step folds it.
-        ``circuit.apply_layer`` passes ``_pauli`` = (letters, (phi0, phi1)) of
-        its rotation phi0 I + phi1 P, whose ``ops`` are the layer's window.
-        A scalar s (``window_mpo`` with no window) puts its phase on the
-        center and log|s| into ``log_norm``; |s| < ``ZERO_NORM_THRESHOLD`` is
-        multiplied in whole and marks the state zero.  Returns the state and
-        discarded weight.
+        operator there is W L = L <L|W|L> and cannot grow the bond.  The
+        flanks outside the core [i_l, i_r - 1] (``_core``) keep their tensors:
+        ``_flank_env`` walks each into <L|W|L> (<R|W|R>) from W alone, since
+        its sites are δ, and ``_fold`` takes it, with W, into the core's
+        boundary site; inner sites are merged with W.  Only the core is swept,
+        and i_r - 1 ends as center; a cut that the sweep leaves at full size
+        (``_full_size``) keeps every weight above min(``FULL_CUT_FLOOR``,
+        svd_cutoff), so the next step folds it.  A scalar s (``window_mpo``
+        with no window) puts its phase on the center and log|s| into
+        ``log_norm``; |s| < ``ZERO_NORM_THRESHOLD`` is multiplied in whole and
+        marks the state zero.  Returns the state and discarded weight.
         """
         if not isinstance(ops, list):
             tensors, c, scale = list(self.tensors), self.center, abs(ops)
@@ -266,11 +262,7 @@ class Mps:
         if not sites:
             raise ValueError("operator has no sites")
         lo, hi = sites[0], sites[-1]
-        left, right = _full_cuts(self.tensors, policy.chi_max)
-        i_r = min(max(right, lo + 1), hi + 1)
-        center = min(max(self.center, lo), i_r - 1)
-        i_l = max(lo, min(left, center))
-        tensors = self.move_center(center).tensors  # a fresh list
+        tensors, i_l, i_r, floor = self._core(lo, hi, policy)
         first, last = i_l + (i_l > lo), i_r - 1 - (i_r <= hi)  # the core inside its folds
         for j in (j for j in sites if first <= j <= last):
             (wl, o, i, wr), (bl, _, br) = ops[j].shape, tensors[j].shape
@@ -278,11 +270,71 @@ class Mps:
             merged = np.dot(op, tensors[j].transpose(1, 0, 2).reshape(i, -1))
             merged = merged.reshape(wl, o, wr, bl, br).transpose(0, 3, 1, 2, 4)
             tensors[j] = merged.reshape(wl * bl, o, wr * br)
-        _fold_flanks(tensors, ops, (lo, i_l, i_r, hi), _pauli)
-        floor = None  # a cutoff at or below the floor (the folded chains') is kept
+        if i_l > lo:  # the core's boundary sites are not merged
+            flank = [_site_op(ops[j], tensors[j]) for j in range(lo, i_l + 1)]
+            env = _flank_env(flank[:-1], tensors[lo].shape[0])
+            tensors[i_l] = _fold(env, tensors[i_l], flank[-1])
+        if i_r <= hi:  # the right flank and i_r - 1 mirrored: bonds swapped
+            span = range(hi, i_r - 2, -1)
+            flank = [_site_op(ops[j], tensors[j]).transpose(3, 1, 2, 0) for j in span]
+            env = _flank_env(flank[:-1], tensors[hi].shape[2])
+            if i_r - 1 == i_l > lo:  # a one-site core with both flanks: (v b') -> a
+                tensors[i_l] = _absorb_right(tensors[i_l], env.T.reshape(-1, len(env)))
+            else:
+                boundary = tensors[i_r - 1].transpose(2, 1, 0)
+                tensors[i_r - 1] = _fold(env, boundary, flank[-1]).transpose(2, 1, 0)
+        return self._sweep(tensors, i_l, i_r - 1, policy, floor)
+
+    def apply_rotation(self, letters, phis, policy: TruncationPolicy) -> tuple["Mps", float]:
+        """phi0 |psi> + phi1 P|psi>, P the string of ``letters`` (0-3 per site),
+        compressed as ``apply_mpo`` compresses its bond-2 window (all I: the
+        scalar phi0 + phi1).  P acts on each core site A as a signed
+        permutation (``_pauli_image``), and the sites are placed as the
+        window's merge places them: [phi0 A, phi1 P A] along the right bond at
+        i_l, [A; P A] along the left bond at i_r - 1, block-diagonal between,
+        phi0 A + phi1 P A for one site; the flanks' letters act on the full
+        bonds' digits.  Returns the state and discarded weight."""
+        letters = np.asarray(letters)
+        ok = letters.shape == (self.n,) and letters.dtype.kind in "iu"
+        if not (ok and set(letters.tolist()) <= {0, 1, 2, 3}):
+            raise ValueError(f"letters must be {self.n} integers 0-3")
+        (phi0, phi1), support = phis, np.flatnonzero(letters)
+        if not support.size:
+            return self.apply_mpo(complex(phi0 + phi1), policy)
+        lo, hi = int(support[0]), int(support[-1])
+        tensors, i_l, i_r, floor = self._core(lo, hi, policy)
+        letters = letters.tolist()
+        for j in range(i_l, i_r):  # in C order: the sweep's norm sums in memory order
+            a, right = np.ascontiguousarray(tensors[j]), j == i_r - 1
+            # a full bond holds the flank's digits, the site nearest its cut lowest
+            rows = _pauli_bits(letters[lo if j == i_l else j : j + 1])
+            cols = _pauli_bits(letters[hi:j:-1] if right else ())
+            pa = _pauli_image(a, rows, cols, phi1 if j == i_l else 1.0)
+            if j == i_l:
+                tensors[j] = phi0 * a + pa if right else np.concatenate((phi0 * a, pa), 2)
+            elif right:
+                tensors[j] = np.concatenate((a, pa))
+            else:
+                dl, d, dr = a.shape
+                site = np.zeros((2, dl, d, 2, dr), dtype=np.complex128)
+                site[0, :, :, 0], site[1, :, :, 1] = a, pa
+                tensors[j] = site.reshape(2 * dl, d, 2 * dr)
+        return self._sweep(tensors, i_l, i_r - 1, policy, floor)
+
+    def _core(self, lo: int, hi: int, policy):
+        """(tensors, i_l, i_r, floor) of a window [lo, hi]: i_r is the first
+        right-full cut in (lo, hi] or hi + 1, the tensors a fresh list with the
+        center at min(max(center, lo), i_r - 1), i_l the last left-full cut in
+        (lo, center] or lo; ``floor`` is the sweep's full-size policy, None for
+        a cutoff at or below ``FULL_CUT_FLOOR`` (the folded chains')."""
+        left, right = _full_cuts(self.tensors, policy.chi_max)
+        i_r = min(max(right, lo + 1), hi + 1)
+        center = min(max(self.center, lo), i_r - 1)
+        i_l = max(lo, min(left, center))
+        floor = None
         if policy.svd_cutoff > FULL_CUT_FLOOR:
             floor = TruncationPolicy(policy.chi_max, FULL_CUT_FLOOR)
-        return self._sweep(tensors, i_l, i_r - 1, policy, floor)
+        return self.move_center(center).tensors, i_l, i_r, floor
 
     # ------------------------------------------------------------------
     # compression
@@ -475,51 +527,6 @@ def _full_size(tensors, cut: int, chi_max: int) -> int:
     return min(left, right, chi_max + 1)
 
 
-def _fold_flanks(tensors, ops, bounds, pauli) -> None:
-    """Fold the flanks [lo, i_l) and [i_r, hi] into the core's boundary sites.
-
-    ``bounds`` is (lo, i_l, i_r, hi).  A flank's sites are δ, so its
-    <L|W|L> (<R|W|R>) is F[a, b, w] from W alone (``_flank_env``), and
-    ``_fold`` takes F A, with W, into the boundary site.  A Pauli rotation
-    (``pauli`` = letters, (phi0, phi1)) has F[:, :, w] = phi_w P_w, P_0 = I
-    and P_1 a signed permutation (``_pauli_gather``), so F A is a gather;
-    for a one-site core with both flanks the whole step is
-    phi0 psi + phi1 P psi, one gather over the core site.  A bond index puts
-    the site nearest its cut lowest and the bond beyond the flank highest.
-    """
-    lo, i_l, i_r, hi = bounds
-    if pauli is not None and i_r - 1 == i_l > lo and i_r <= hi:
-        (letters, (phi0, phi1)), t = pauli, tensors[i_l]
-        # the left bond and s hold the digits lo..i_l, the right bond those of
-        # i_r..hi below its own outer bond: the masks are composed per part
-        (xl, zl), (xr, zr) = _pauli_bits(letters[lo : i_l + 1]), _pauli_bits(letters[hi:i_l:-1])
-        br, flat = t.shape[2], t.reshape(-1)
-        index, phase = _pauli_gather(xl * br + xr, zl * br + zr, t.size, phi1)
-        tensors[i_l] = (phi0 * flat + phase * flat[index]).reshape(t.shape)
-        return
-    if i_l > lo:  # the core's boundary sites are not merged
-        a = tensors[i_l]
-        if pauli is None:
-            flank = [_site_op(ops[j], tensors[j]) for j in range(lo, i_l)]
-            fa = _env_dot(_flank_env(flank, tensors[lo].shape[0]), a)
-        else:
-            fa = _pauli_dot(a, pauli[0][lo:i_l], pauli[1])
-        tensors[i_l] = _fold(fa, _site_op(ops[i_l], a))
-    if i_r <= hi:  # the right flank and i_r - 1 mirrored: bonds swapped
-        b = i_r - 1
-        if pauli is not None:  # the right cap is ones
-            fa = _pauli_dot(tensors[b].transpose(2, 1, 0), pauli[0][hi:b:-1], (1.0, 1.0))
-        else:
-            flank = [_site_op(ops[j], tensors[j]).transpose(3, 1, 2, 0) for j in range(hi, b, -1)]
-            env = _flank_env(flank, tensors[hi].shape[2])
-            if b == i_l > lo:  # a one-site core with both flanks: (v b') -> a
-                tensors[b] = _absorb_right(tensors[b], env.T.reshape(-1, len(env)))
-                return
-            fa = _env_dot(env, tensors[b].transpose(2, 1, 0))
-        w = _site_op(ops[b], tensors[b]).transpose(3, 1, 2, 0)
-        tensors[b] = _fold(fa, w).transpose(2, 1, 0)
-
-
 def _flank_env(ops, bond: int) -> np.ndarray:
     """<L|W|L> over a flank from its outer cut of size ``bond``, as F[a, b, w].
     The flank's sites are δ, so each adds W alone:
@@ -532,18 +539,12 @@ def _flank_env(ops, bond: int) -> np.ndarray:
     return env
 
 
-def _env_dot(env, a) -> np.ndarray:
-    """F A over a boundary site's flank bond, as (a, w, i, b')."""
-    (chi, b, wl), (_, i, br) = env.shape, a.shape
-    fa = np.dot(env.transpose(0, 2, 1).reshape(-1, b), a.reshape(b, -1))
-    return fa.reshape(chi, wl, i, br)
-
-
-def _fold(fa, w) -> np.ndarray:
-    """W over (w, i) of a boundary site's F A (a, w, i, b'): (a, o, (v b'))."""
-    (chi, wl, i, br), (_, o, _, v) = fa.shape, w.shape
+def _fold(env, a, w) -> np.ndarray:
+    """A boundary site A, (F A) over the bond, then W over (w, i): (a, o, (v b'))."""
+    (chi, b, wl), (_, i, br), (_, o, _, v) = env.shape, a.shape, w.shape
+    x = np.dot(env.transpose(0, 2, 1).reshape(-1, b), a.reshape(b, -1))  # (a w, i b')
     ops = w.transpose(1, 3, 0, 2).reshape(o * v, wl * i)
-    return np.matmul(ops, fa.reshape(chi, wl * i, br)).reshape(chi, o, v * br)
+    return np.matmul(ops, x.reshape(chi, wl * i, br)).reshape(chi, o, v * br)
 
 
 _X_BIT = (0, 1, 1, 0)  # letters 0 I, 1 X, 2 Y, 3 Z; the z bit is letter >> 1
@@ -559,34 +560,38 @@ def _pauli_bits(letters) -> tuple[int, int]:
 
 
 def _pauli_gather(x: int, z: int, size: int, coef: complex) -> tuple[np.ndarray, np.ndarray]:
-    """``coef`` times the Pauli string of bits x, z on ``size`` basis states,
-    as a signed permutation: (coef P v)[a] = phase[a] v[a ^ x], with
-    phase = coef (-i)^#Y (-1)^|a & z| and #Y = |x & z|.  Products of ±1 and
-    ±i with coef are exact, so phase is exact."""
-    index = np.arange(size)
+    """``coef`` times the Pauli string of bits x, z on ``size`` basis states as
+    a signed permutation: (coef P v)[a] = phase[a] v[a ^ x], with phase =
+    coef (-i)^|x & z| (-1)^|a & z| exact (coef times ±1 and ±i)."""
+    index, parity = _xor_tables(x, z, size)
     c = coef * _MINUS_I_POWERS[bin(x & z).count("1") % 4]
-    return index ^ x, np.array((c, -c))[_parities(z.bit_length())[index & z]]
+    return index, np.array((c, -c))[parity]
 
 
-@lru_cache(maxsize=32)
-def _parities(bits: int) -> np.ndarray:
-    """|a| mod 2 for every a < 2^bits, folded by shift-XOR; read-only, shared."""
-    table, shift = np.arange(1 << bits), 1
-    while shift < bits:
-        shift *= 2
-    while shift > 1:
-        shift //= 2
-        table ^= table >> shift
-    table = (table & 1).astype(np.uint8)
-    table.flags.writeable = False
-    return table
+@lru_cache(maxsize=128)
+def _xor_tables(x: int, z: int, size: int) -> np.ndarray:
+    """a ^ x and |a & z| mod 2 for every a < size, the parity read off the
+    Thue-Morse sequence (each top bit flips the table below it); read-only."""
+    index, thue_morse = np.arange(size), np.zeros(1, dtype=np.uint8)
+    for _ in range(z.bit_length()):
+        thue_morse = np.concatenate((thue_morse, thue_morse ^ 1))
+    tables = np.stack((index ^ x, thue_morse[index & z]))
+    tables.flags.writeable = False
+    return tables
 
 
-def _pauli_dot(a, letters, phis) -> np.ndarray:
-    """F A of a Pauli flank (``letters`` from its outer site in) over a's first
-    bond: branch 0 phi0 A, branch 1 phi1 P A, as (a, 2, i, b')."""
-    index, phase = _pauli_gather(*_pauli_bits(letters), len(a), phis[1])
-    return np.stack((phis[0] * a, phase[:, None, None] * a[index]), axis=1)
+def _pauli_image(a, rows, cols, coef) -> np.ndarray:
+    """coef P A of a site A (l, s, r) in C order, P given per axis as the
+    (x, z) bits on its rows (l s) and on its columns r: a bond that is not
+    full is no power of two.  With no bits and coef 1 it is A itself."""
+    out = a.reshape(-1, a.shape[2])
+    if any(rows) or coef != 1:
+        index, phase = _pauli_gather(*rows, len(out), coef)
+        out = phase[:, None] * out[index]
+    if any(cols):
+        index, phase = _pauli_gather(*cols, out.shape[1], 1.0)
+        out = np.take(out, index, axis=1) * phase
+    return out.reshape(a.shape)
 
 
 def _site_op(op, t: np.ndarray) -> np.ndarray:  # an idle site (None): the identity

@@ -7,9 +7,12 @@ the production code path and prints one PASS/FAIL line.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product
+
 import numpy as np
 
-from . import circuit, temporal
+from . import circuit, mps, temporal
 from .circuit import StabMpoLayer, compile_blocks, expectation
 from .clifford import (
     Brick,
@@ -131,32 +134,34 @@ def _half_traces(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _check_transfer_tables(rng) -> None:
-    """The operator tables that ``window_mpo`` caps, read at call time, vs dense.
+    """The rules that layers and folds apply, read at call time, vs dense.
 
-    Uncapped, every entry is exact: layer site g has the branches W_0 = I and
-    W_1 = sigma^g, folded row block a = 2k + b is the half-traces of W_k and
-    W_b, and the columns are the rows transposed.  Capped with random angles,
-    they match phi0 I + phi1 sigma^g and its folded channel.
+    Folded row block a = 2k + b is exactly the half-traces of W_k and W_b
+    (W_0 = I, W_1 = sigma^g), and the columns are the rows transposed.  For
+    random angles and every string P of one to three letters, phi0 I plus a
+    layer's gather (``mps._pauli_image``) is exactly phi0 I + phi1 P on the
+    basis, and the capped rows match the folded channel of its last letter.
     """
-    sites, rows = circuit._LAYER_SITES, temporal._FOLDED_ROWS
+    rows = temporal._FOLDED_ROWS
     for g in range(4):
         w = (SIGMA[0], SIGMA[g])
         blocks = [_half_traces(w[a // 2], w[a % 2]) for a in range(4)]
-        _require(np.array_equal(sites[g], diagonal_mpo(w)), f"layer site {g} differs")
         _require(np.array_equal(rows[g], diagonal_mpo(blocks)), f"folded row {g} differs")
         column = rows[g].transpose(2, 0, 3, 1)
         _require(np.array_equal(temporal._FOLDED_COLUMNS[g], column), f"column {g} differs")
-    for _ in range(20):
-        g = int(rng.integers(4))
-        theta = float(rng.uniform(0, 2 * np.pi))
-        phi0, phi1 = np.cos(theta / 2), -1j * np.sin(theta / 2)
-        layer = phi0 * SIGMA[0] + phi1 * SIGMA[g]
-        (site,) = cap_mpo([sites[g]], [phi0, phi1], np.ones(2))
-        (row,) = cap_mpo([rows[g]], folded_coefficients(phi0, phi1), np.ones(4))
-        ok = np.allclose(site[0, :, :, 0], layer, atol=1e-12)
-        _require(ok, "capped layer site differs from dense")
-        ok = np.allclose(row[0, :, :, 0], _half_traces(layer, layer), atol=1e-12)
-        _require(ok, "capped folded row differs from dense")
+    for k in (1, 2, 3):
+        basis = np.eye(2**k, dtype=np.complex128).reshape(1, 2**k, 2**k)
+        for letters in product(range(4), repeat=k):
+            theta = float(rng.uniform(0, 2 * np.pi))
+            phi0, phi1 = np.cos(theta / 2), -1j * np.sin(theta / 2)
+            string, bits = reduce(np.kron, SIGMA[list(letters)]), mps._pauli_bits(letters)
+            got = phi0 * basis + mps._pauli_image(basis, bits, (0, 0), phi1)
+            ok = np.array_equal(got[0], phi0 * np.eye(2**k) + phi1 * string)
+            _require(ok, f"layer gather of {letters} differs from dense")
+            layer = phi0 * SIGMA[0] + phi1 * SIGMA[letters[-1]]
+            (row,) = cap_mpo([rows[letters[-1]]], folded_coefficients(phi0, phi1), np.ones(4))
+            ok = np.allclose(row[0, :, :, 0], _half_traces(layer, layer), atol=1e-12)
+            _require(ok, "capped folded row differs from dense")
 
 
 def _three_methods(compiled, obs: PauliString, policy) -> list:
@@ -234,7 +239,7 @@ def _check_pauli_flank_fold(rng) -> None:
             layer = StabMpoLayer(PauliString.from_letters(letters.tolist()), 0.9)
             gather, _ = circuit.apply_layer(state, layer, exact)
             phis = [layer.phi0, layer.phi1]
-            ops = window_mpo(letters, circuit._LAYER_SITES, phis, np.ones(2))
+            ops = window_mpo(letters, [diagonal_mpo((SIGMA[0], s)) for s in SIGMA], phis, [1, 1])
             dense, _ = state.apply_mpo(ops, exact)
             want = dense.to_dense()
             gap = np.linalg.norm(gather.to_dense() - want) / np.linalg.norm(want)

@@ -16,22 +16,21 @@ from math import ceil
 
 import numpy as np
 
-from .circuit import _LAYER_SITES
 from .circuit import Contraction, StabMpoCircuit, letter_table, pull_back
 from .mps import Mps, TruncationPolicy, diagonal_mpo, inner, window_mpo
 from .pauli import SIGMA, PauliString, basis_bits
 
 
-# _FOLDED_ROWS[g]: the uncapped (a, mu, nu, a) row operator of letter g, read
-# off the layer site: with W_0 = I and W_1 = sigma^g its two diagonal branches,
-# block a = 2k + b is 1/2 Tr(sigma^mu W_k sigma^nu W_b^dag)
-def _folded_row(layer_site: np.ndarray) -> np.ndarray:
-    w = np.einsum("kijk->kij", layer_site)
+# _FOLDED_ROWS[g]: the uncapped (a, mu, nu, a) row operator of letter g: with
+# W_0 = I and W_1 = sigma^g a layer's two branches, block a = 2k + b is
+# 1/2 Tr(sigma^mu W_k sigma^nu W_b^dag)
+def _folded_row(g: int) -> np.ndarray:
+    w = SIGMA[[0, g]]
     blocks = 0.5 * np.einsum("mij,kjl,nlp,bip->kbmn", SIGMA, w, SIGMA, w.conj())
     return diagonal_mpo(blocks.reshape(4, 4, 4))
 
 
-_FOLDED_ROWS = tuple(_folded_row(site) for site in _LAYER_SITES)
+_FOLDED_ROWS = tuple(_folded_row(g) for g in range(4))
 for _row in _FOLDED_ROWS:
     _row.setflags(write=False)  # shared by every layer of every contraction
 

@@ -21,8 +21,12 @@ from stabmpo.clifford import (
     _local_rows,
     two_qubit_clifford_sequences,
 )
-from stabmpo.mps import Mps, TruncationPolicy
-from stabmpo.pauli import PauliString
+from stabmpo.mps import Mps, TruncationPolicy, diagonal_mpo
+from stabmpo.pauli import SIGMA, PauliString
+
+# the dense bond-2 operator site of a layer letter g, I on branch 0 and sigma^g
+# on branch 1: ``window_mpo`` over it gives the reference window of a rotation
+LAYER_SITES = tuple(diagonal_mpo((SIGMA[0], SIGMA[g])) for g in range(4))
 
 
 def random_pauli(rng, n: int, signed: bool = True) -> PauliString:

@@ -5,13 +5,15 @@ statistical disorder-averaged runs and dominate the runtime (minutes).
 """
 
 from contextlib import contextmanager
+from functools import reduce
+from itertools import product
 from math import cos, pi, sin
 
 import numpy as np
 import pytest
 
 from conftest import compress, norm, random_clifford_circuit, random_mps
-from stabmpo import circuit, selftest, temporal
+from stabmpo import mps, selftest, temporal
 from stabmpo.circuit import (
     StabMpoLayer,
     compile_blocks,
@@ -212,20 +214,37 @@ def test_criterion_5_twirl_suite():
 # 6. transfer-tensor algebra
 # ----------------------------------------------------------------------
 def test_criterion_6_transfer_tensor_algebra():
-    # the tables that window_mpo caps and applies, read from their modules at
-    # call time: the layer sites' branches W_0 = I, W_1 = sigma^g, and every
-    # entry of the folded rows' blocks a = 2k + b, 1/2 Tr(sigma^mu W_k sigma^nu
-    # W_b^dag), exactly; Gamma sits at a = 1, its transpose at a = 2, diag S at 3
+    # the rules that layers and folds apply, read from their modules at call
+    # time.  A layer is phi0 I + phi1 P, and apply_rotation adds phi0 A to
+    # P's gather with coefficient phi1: on the basis that must be exactly
+    # phi0 I + phi1 P, and P's column gather exactly P^T, for every string of
+    # one to three letters (two and three Ys reach every power of -i).  Every
+    # entry of the folded rows' blocks a = 2k + b, 1/2 Tr(sigma^mu W_k
+    # sigma^nu W_b^dag) with W_0 = I and W_1 = sigma^g, exactly; Gamma sits at
+    # a = 1, its transpose at a = 2, diag S at 3
     with report(6, "transfer-tensor-algebra"):
+        rng = np.random.default_rng(66)
+        strings = 0
+        for k in (1, 2, 3):
+            basis = np.eye(2**k, dtype=np.complex128).reshape(1, 2**k, 2**k)
+            for letters in product(range(4), repeat=k):
+                theta = float(rng.uniform(0, 2 * pi))
+                phi0, phi1 = cos(theta / 2), -1j * sin(theta / 2)
+                string = reduce(np.kron, SIGMA[list(letters)])
+                bits = mps._pauli_bits(letters)
+                got = phi0 * basis + mps._pauli_image(basis, bits, (0, 0), phi1)
+                assert np.array_equal(got[0], phi0 * np.eye(2**k) + phi1 * string), letters
+                got = mps._pauli_image(basis, (0, 0), bits, 1.0)
+                assert np.array_equal(got[0], string.T), letters
+                strings += 1
+        assert strings == 84
+
         checked = 0
         for g in range(4):
-            site, row = circuit._LAYER_SITES[g], temporal._FOLDED_ROWS[g]
+            row = temporal._FOLDED_ROWS[g]
             w = (SIGMA[0], SIGMA[g])
             for a in range(4):
                 assert not np.any(np.delete(row[a], a, axis=2))  # diagonal in a
-                if a < 2:
-                    assert not np.any(np.delete(site[a], a, axis=2))
-                    assert np.array_equal(site[a, :, :, a], w[a])
                 for mu in range(4):
                     for nu in range(4):
                         ref = 0.5 * np.trace(
@@ -237,15 +256,12 @@ def test_criterion_6_transfer_tensor_algebra():
             assert np.array_equal(temporal._FOLDED_COLUMNS[g], column)
         assert checked == 256
 
-        # the same tables capped with a layer's coefficients, as window_mpo caps
-        rng = np.random.default_rng(66)
+        # the rows capped with a layer's coefficients, as window_mpo caps them
         for _ in range(100):
             g = int(rng.integers(4))
             theta = float(rng.uniform(0, 2 * pi))
             phi0, phi1 = cos(theta / 2), -1j * sin(theta / 2)
             layer = phi0 * SIGMA[0] + phi1 * SIGMA[g]
-            (site,) = cap_mpo([circuit._LAYER_SITES[g]], [phi0, phi1], np.ones(2))
-            assert np.max(np.abs(site[0, :, :, 0] - layer)) <= 1e-12
             coeffs = folded_coefficients(phi0, phi1)
             (row,) = cap_mpo([temporal._FOLDED_ROWS[g]], coeffs, np.ones(4))
             for mu in range(4):
@@ -257,19 +273,25 @@ def test_criterion_6_transfer_tensor_algebra():
 @pytest.mark.parametrize("g", range(4))
 @pytest.mark.parametrize("table", ["layer", "row"])
 def test_table_checks_read_the_production_tables(monkeypatch, table, g):
-    # one sign-flipped entry of a table that window_mpo caps must fail both
-    # criterion 6 and selftest's table check
-    module = circuit if table == "layer" else temporal
-    name = "_LAYER_SITES" if table == "layer" else "_FOLDED_ROWS"
-    tables = list(getattr(module, name))
-    flipped = tables[g].copy()
-    flipped.flat[np.flatnonzero(flipped)[-1]] *= -1
-    tables[g] = flipped
-    monkeypatch.setattr(module, name, tuple(tables))
-    with pytest.raises(AssertionError):
-        test_criterion_6_transfer_tensor_algebra()
-    with pytest.raises(RuntimeError):
-        selftest._check_transfer_tables(np.random.default_rng(0))
+    # one flipped entry of a rule that layers or folds read must fail both
+    # criterion 6 and selftest's table check: letter g's x bit or the power
+    # (-i)^g of a layer's gather, or one sign of folded row g
+    if table == "layer":
+        x_bits, powers = list(mps._X_BIT), list(mps._MINUS_I_POWERS)
+        x_bits[g], powers[g] = 1 - x_bits[g], -powers[g]
+        flips = [(mps, "_X_BIT", tuple(x_bits)), (mps, "_MINUS_I_POWERS", tuple(powers))]
+    else:
+        rows = list(temporal._FOLDED_ROWS)
+        rows[g] = rows[g].copy()
+        rows[g].flat[np.flatnonzero(rows[g])[-1]] *= -1
+        flips = [(temporal, "_FOLDED_ROWS", tuple(rows))]
+    for module, name, value in flips:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, value)
+            with pytest.raises(AssertionError):
+                test_criterion_6_transfer_tensor_algebra()
+            with pytest.raises(RuntimeError):
+                selftest._check_transfer_tables(np.random.default_rng(0))
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    LAYER_SITES,
     compress,
     dense_entropy_bits,
     expand_bricks,
@@ -19,7 +20,6 @@ from conftest import (
     raw_norm,
 )
 from stabmpo.circuit import (
-    _LAYER_SITES,
     RotationGate,
     StabMpoLayer,
     apply_layer,
@@ -490,7 +490,7 @@ def test_window_layer_matches_full_chain_and_dense(where):
             window, err = apply_layer(state, layer, policy)
             # the same operator padded with identity sites: its window is the chain
             letters = letter_table([layer.gamma], n)[0]
-            ops = window_mpo(letters, _LAYER_SITES, [layer.phi0, layer.phi1], np.ones(2))
+            ops = window_mpo(letters, LAYER_SITES, [layer.phi0, layer.phi1], np.ones(2))
             eye = np.eye(2)[None, :, :, None]
             full, err_full = state.apply_mpo([eye if op is None else op for op in ops], policy)
             want = layer.to_dense() @ state.to_dense()
@@ -626,7 +626,7 @@ def window_operator(rng, kind: str, n: int, lo: int, hi: int) -> list:
     letters = rng.integers(4, size=hi - lo + 1)
     phis = random_unitary(rng, 2)[0]
     if kind == "layer":
-        sites = [_LAYER_SITES[g] for g in letters]
+        sites = [LAYER_SITES[g] for g in letters]
         caps = (phis, np.ones(2))
     elif kind == "row":
         sites = [_FOLDED_ROWS[g] for g in letters]
@@ -872,29 +872,41 @@ def test_one_site_core_and_idle_boundary_core_site_match_dense(kind):
 @pytest.mark.parametrize("bond", [1, 2, 4])
 def test_pauli_flank_gather_is_the_dense_flank_fold(bond):
     # every letter string of up to three flank sites, on an outer bond of 1, 2
-    # or 4 above the flank's digits: F A by the gather against F from W, for
-    # the left flank (capped by phi) and the mirrored right flank (by ones)
+    # or 4 above the flank's digits, then the core site (X): apply_rotation's
+    # gather against apply_mpo's fold of the dense window, for a left flank
+    # and, on the mirrored chain, a right flank
     rng = np.random.default_rng(120 + bond)
+    outer = bond.bit_length() - 1  # full sites beyond the flank
     for k in (1, 2, 3):
-        for letters in product(range(4), repeat=k):
+        n, chi = 2 * (outer + k) + 2, 2 ** (outer + k)
+        state = Mps(full_network(rng, n, 2, chi))  # center 0, then unit norm, so
+        head = state.tensors[0] / np.linalg.norm(state.tensors[0])  # log_norm's ulp is small
+        state = Mps([head] + state.tensors[1:])
+        for flank in product(range(4), repeat=k):
             phis = random_unitary(rng, 2)[0]
-            shape = (bond * 2**k, 2, 3)
-            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            sites = [_LAYER_SITES[g] for g in letters + (1,)]  # then the core site
-            left = cap_mpo(sites, phis, np.ones(2))[:-1]
-            want = mps_module._env_dot(mps_module._flank_env(left, bond), a)
-            got = mps_module._pauli_dot(a, letters, phis)
-            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), letters
-            # the right flank lists its sites from the outer one in, mirrored
-            right = cap_mpo(sites[::-1], phis, np.ones(2))[1:]
-            right = [w.transpose(3, 1, 2, 0) for w in right[::-1]]
-            want = mps_module._env_dot(mps_module._flank_env(right, bond), a)
-            got = mps_module._pauli_dot(a, letters, (1.0, 1.0))
-            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), letters
+            left = np.array([0] * outer + list(flank) + [1] + [0] * (n - outer - k - 1))
+            sides = (left, n - 1, outer + k), (left[::-1], 0, n - 1 - outer - k)
+            for letters, center, core in sides:
+                before = state.move_center(center)
+                got, err = before.apply_rotation(letters, phis, EXACT8)
+                ops = window_mpo(letters, LAYER_SITES, phis, np.ones(2))
+                dense, _ = before.apply_mpo(ops, EXACT8)
+                assert err == 0.0 and got.center == dense.center == core
+                want = dense.to_dense()
+                assert np.linalg.norm(got.to_dense() - want) <= 1e-15 * np.linalg.norm(want), letters
 
 
-# (bond cap of the state, window, centers, core): the flanks that apply_mpo
-# folds on n = 10, with the bonds at lo and hi + 1 above 1 in every case
+def test_apply_rotation_rejects_bad_letters():
+    # a letter outside 0-3 would read the bit tables at a wrong or negative
+    # index and apply some other string
+    state, phis = Mps.product_state([0, 1, 0]), (0.6, -0.8j)
+    for letters in ([1, 2], [1, 2, 3, 0], [0, -1, 0], [0, 4, 0], [0.0, 1.0, 0.0], [[1, 2, 3]]):
+        with pytest.raises(ValueError, match="letter"):
+            state.apply_rotation(letters, phis, EXACT8)
+
+
+# (bond cap of the state, window, centers, core): every core shape that a
+# rotation meets on n = 10, with the bonds at lo and hi + 1 above 1
 PAULI_FOLDS = {
     "both-one-site": (None, (2, 7), range(4, 10), (4, 4)),
     "both-two-site": (16, (2, 7), range(5, 10), (4, 5)),
@@ -902,13 +914,17 @@ PAULI_FOLDS = {
     "left-two-site": (16, (2, 5), range(5, 10), (4, 5)),
     "right-one-site": (16, (5, 7), range(0, 6), (5, 5)),
     "right-two-site": (16, (4, 7), range(0, 5), (4, 5)),
+    "no-flank-one-site": (16, (4, 4), range(0, 10), (4, 4)),
+    "no-flank-three-site": (8, (3, 5), range(0, 10), (3, 5)),
+    "both-four-site": (8, (2, 7), range(6, 10), (3, 6)),
 }
 
 
 @pytest.mark.parametrize("case", PAULI_FOLDS)
 def test_pauli_layer_fold_matches_the_dense_fold(case):
-    # a layer folds its full-cut flanks by gathers (apply_layer); the same
-    # window as a plain operator folds them through F (apply_mpo).  Every
+    # a layer places each core site by gathers (apply_layer); the same window
+    # as a plain operator is merged and folds its flanks through F
+    # (apply_mpo).  Every
     # window has X, Y and Z at every site and random strings; the two states
     # agree to rounding and match the dense layer
     rng = np.random.default_rng(list(PAULI_FOLDS).index(case) + 130)
@@ -928,7 +944,7 @@ def test_pauli_layer_fold_matches_the_dense_fold(case):
         assert documented_core(before, lo, hi, exact.chi_max) == core
         for layer, exact_vec in zip(layers, wants):
             letters = letter_table([layer.gamma], n)[0]
-            ops = window_mpo(letters, _LAYER_SITES, [layer.phi0, layer.phi1], np.ones(2))
+            ops = window_mpo(letters, LAYER_SITES, [layer.phi0, layer.phi1], np.ones(2))
             dense, _ = before.apply_mpo(ops, exact)
             got, err = apply_layer(before, layer, exact)
             assert err == 0.0 and got.center == dense.center == core[1]

@@ -5,8 +5,8 @@ from math import ceil, cos, pi, sin
 import numpy as np
 import pytest
 
+from conftest import LAYER_SITES
 from stabmpo.circuit import (
-    _LAYER_SITES,
     Contraction,
     RotationGate,
     StabMpoCircuit,
@@ -503,7 +503,7 @@ def test_identity_letter_is_bond_and_physical_delta(table):
     # the premise of the support window: both caps pass through letter 0
     # unchanged, so the sites outside the window may be left out
     op, bond, phys = {
-        "layer": (_LAYER_SITES[0], 2, 2),
+        "layer": (LAYER_SITES[0], 2, 2),
         "row": (_FOLDED_ROWS[0], 4, 4),
         "column": (_FOLDED_COLUMNS[0], 4, 4),
     }[table]
@@ -522,7 +522,7 @@ def layers_reference(circ, obs, bits, policy):
     entropies = []
     for layer in circ.layers:
         ops = full_length(
-            layer.gamma.letters(), _LAYER_SITES, [layer.phi0, layer.phi1], np.ones(2)
+            layer.gamma.letters(), LAYER_SITES, [layer.phi0, layer.phi1], np.ones(2)
         )
         state, _ = state.apply_mpo(ops, policy)
         entropies.append(state.entanglement_entropy(circ.n // 2))
